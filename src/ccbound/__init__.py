@@ -26,7 +26,6 @@ from .fluid import (
     SimConfig,
     fifo_delay_at,
     sample_result,
-    sender_rate,
     sender_rate_trace,
     simulate_fluid,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "SimConfig",
     "fifo_delay_at",
     "sample_result",
-    "sender_rate",
     "sender_rate_trace",
     "simulate_fluid",
     "AimdParams",

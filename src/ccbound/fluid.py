@@ -35,7 +35,6 @@ __all__ = [
     "FluidResult",
     "FluidSample",
     "sender_rate_trace",
-    "sender_rate",
     "simulate_fluid",
     "fifo_delay_at",
     "sample_result",
@@ -110,7 +109,8 @@ class SimConfig:
         object.__setattr__(self, "horizon", h)
         if isinstance(self.controller, OracleFinal):
             d = self.controller.signal_delay
-            events = detect_events(self.trace)
+            # reductions from the horizon on never reach the sender
+            events = [ev for ev in detect_events(self.trace) if ev.onset < h]
             for prev, cur in zip(events, events[1:]):
                 if cur.onset < prev.onset + d:
                     raise ModelViolationError(
@@ -162,15 +162,6 @@ def sender_rate_trace(config: SimConfig) -> CapacityTrace:
     if isinstance(config.controller, OracleFinal):
         return _oracle_final_trace(config.trace, config.controller.signal_delay, config.horizon)
     return _shifted_trace(config.trace, config.controller.signal_delay, config.horizon)
-
-
-def sender_rate(config: SimConfig, t: float) -> float:
-    """The sender's rate at ``t``; see the controller classes for the policies."""
-    t = float(t)
-    assert config.horizon is not None
-    if not 0.0 <= t <= config.horizon:
-        raise ValueError(f"t={t!r} outside the simulation window [0, {config.horizon!r}]")
-    return sender_rate_trace(config).capacity_at(t)
 
 
 @dataclass(frozen=True)
@@ -266,35 +257,6 @@ def _first_zero_crossing(q0: float, q1: float, q2: float, length: float) -> floa
     return best
 
 
-def _fifo_from_backlog(bits: float, trace: CapacityTrace, t: float) -> float | None:
-    """Smallest delta >= 0 that drains ``bits`` starting at ``t`` at the
-    trace's capacity; None when the horizon arrives first."""
-    if bits <= 0.0:
-        return 0.0
-    remaining = bits
-    cur = float(t)
-    times = trace.times
-    n = len(times)
-    while cur < trace.horizon:
-        i = bisect_right(times, cur) - 1
-        seg_end = times[i + 1] if i + 1 < n else trace.horizon
-        end = min(seg_end, trace.horizon)
-        width = end - cur
-        if width <= 0.0:
-            break
-        v0 = trace.capacity_at(cur)
-        v1 = trace.left_limit_at(end)
-        chunk = 0.5 * (v0 + v1) * width
-        if chunk >= remaining:
-            slope = (v1 - v0) / width
-            disc = max(0.0, v0 * v0 + 2.0 * slope * remaining)
-            x = 2.0 * remaining / (v0 + math.sqrt(disc))
-            return (cur - t) + x
-        remaining -= chunk
-        cur = end
-    return None
-
-
 def simulate_fluid(config: SimConfig) -> FluidResult:
     """Solve b' = sender - service exactly over the configured window.
 
@@ -377,9 +339,10 @@ def simulate_fluid(config: SimConfig) -> FluidResult:
         norm_rate = trace.capacity_at(peak_t)
 
     # Candidate instants for the worst FIFO wait: segment boundaries plus
-    # interior backlog maxima.  Exact whenever the worst instant is a kink
-    # or local maximum of the backlog, which covers every piecewise-constant
-    # sender phase; in mixed ramp phases it is a tight lower envelope.
+    # interior backlog maxima.  This is only a lower envelope of the true
+    # peak: where later backlog cannot drain before the horizon, the worst
+    # instant that still drains can lie inside a segment and is missed,
+    # until each cell's wait is maximised exactly (ROADMAP, exact peak FIFO).
     peak_fifo = 0.0
     fifo_censored = False
     candidates: list[tuple[float, float]] = []
@@ -391,7 +354,7 @@ def simulate_fluid(config: SimConfig) -> FluidResult:
                 candidates.append((seg.t_start + dtv, seg.value_at(seg.t_start + dtv)))
     candidates.append((h, segs[-1].value_at(h)))
     for t_cand, b_cand in candidates:
-        delta = _fifo_from_backlog(b_cand, trace, t_cand)
+        delta = trace.drain_time(t_cand, b_cand)
         if delta is None:
             fifo_censored = True
         elif delta > peak_fifo:
@@ -417,11 +380,13 @@ def simulate_fluid(config: SimConfig) -> FluidResult:
 def fifo_delay_at(result: FluidResult, trace: CapacityTrace, t: float) -> float | None:
     """How long the bit arriving at ``t`` waits before transmission.
 
-    Smallest delta >= 0 with the capacity integral over [t, t + delta]
-    covering the backlog at ``t``, solved in closed form over the trace
-    segments; None when the backlog cannot drain before the horizon.
+    The horizontal deviation C^-1(C(t) + b(t)) - t of the cumulative
+    capacity curve C at the backlog b(t): the smallest delta >= 0 with the
+    capacity integral over [t, t + delta] covering b(t), answered by
+    :meth:`CapacityTrace.drain_time` in O(log n).  None when the backlog
+    cannot drain before the horizon.
     """
-    return _fifo_from_backlog(result.backlog_at(t), trace, t)
+    return trace.drain_time(t, result.backlog_at(t))
 
 
 @dataclass(frozen=True)
@@ -454,7 +419,7 @@ def sample_result(result: FluidResult, step: float) -> list[FluidSample]:
             else:
                 break
         b = result.backlog_at(t)
-        fifo = _fifo_from_backlog(b, result.trace, t)
+        fifo = result.trace.drain_time(t, b)
         samples.append(
             FluidSample(t, b, b / result.final_norm_rate, math.nan if fifo is None else fifo)
         )

@@ -19,7 +19,6 @@ __all__ = [
     "TraceParseError",
     "check_seconds",
     "check_rate",
-    "check_bits",
     "make_step_trace",
     "make_ramp_trace",
     "detect_events",
@@ -45,14 +44,6 @@ def check_rate(value: float, name: str = "rate") -> float:
     value = float(value)
     if not math.isfinite(value) or value <= 0.0:
         raise ValueError(f"{name} must be finite and > 0 bit/s, got {value!r}")
-    return value
-
-
-def check_bits(value: float, name: str = "bits") -> float:
-    """Validate an amount of data: finite and >= 0 bits."""
-    value = float(value)
-    if not math.isfinite(value) or value < 0.0:
-        raise ValueError(f"{name} must be finite and >= 0 bits, got {value!r}")
     return value
 
 
@@ -121,6 +112,12 @@ class CapacityTrace:
             )
         object.__setattr__(self, "horizon", horizon)
         object.__setattr__(self, "_times", tuple(bp.time for bp in bps))
+        # _cum[i] = C(times[i]), the bits served at full utilisation from 0
+        # to breakpoint i; the extra last entry is C(horizon).
+        cum = [0.0]
+        for i in range(len(bps)):
+            cum.append(cum[-1] + self._area(i, bps[i].time, self._end(i)))
+        object.__setattr__(self, "_cum", tuple(cum))
 
     @property
     def times(self) -> tuple[float, ...]:
@@ -129,6 +126,24 @@ class CapacityTrace:
 
     def _index_at(self, t: float) -> int:
         return bisect_right(self._times, t) - 1  # type: ignore[attr-defined]
+
+    def _end(self, i: int) -> float:
+        """Right end of segment ``i``: the next breakpoint or the horizon."""
+        return self._times[i + 1] if i + 1 < len(self._times) else self.horizon  # type: ignore[attr-defined]
+
+    def _rate_slope(self, i: int) -> tuple[float, float]:
+        """Capacity at breakpoint ``i`` and its slope over segment ``i``."""
+        bp = self.breakpoints[i]
+        if bp.mode is SegmentMode.LINEAR:  # never the last breakpoint
+            nxt = self.breakpoints[i + 1]
+            return bp.rate, (nxt.rate - bp.rate) / (nxt.time - bp.time)
+        return bp.rate, 0.0
+
+    def _area(self, i: int, a: float, b: float) -> float:
+        """Bits served over [a, b] inside segment ``i``: rectangle or trapezoid."""
+        rate, slope = self._rate_slope(i)
+        t_i = self._times[i]  # type: ignore[attr-defined]
+        return (b - a) * (rate + 0.5 * slope * ((a - t_i) + (b - t_i)))
 
     def capacity_at(self, t: float) -> float:
         """Exact capacity at ``t`` in [0, horizon]; right-continuous at holds."""
@@ -166,9 +181,10 @@ class CapacityTrace:
     def integrate(self, t0: float, t1: float) -> float:
         """Exact bits through the link at full utilisation over [t0, t1].
 
-        Closed form per segment (rectangle for holds, trapezoid for linear
-        pieces), so the result is additive over adjacent intervals up to
-        rounding.
+        C(t1) - C(t0) of the cumulative capacity C, read from the prefix
+        table in O(log n).  The partial segments at both ends are added to
+        the whole segments between them rather than subtracted from prefix
+        values, so a short interval keeps its full relative precision.
         """
         t0 = float(t0)
         t1 = float(t1)
@@ -176,25 +192,46 @@ class CapacityTrace:
             raise ValueError(
                 f"integration interval [{t0!r}, {t1!r}] invalid for domain [0, {self.horizon!r}]"
             )
-        if t0 == t1:
+        i, j = self._index_at(t0), self._index_at(t1)
+        if i == j:
+            return self._area(i, t0, t1)
+        cum = self._cum  # type: ignore[attr-defined]
+        return (
+            self._area(i, t0, self._times[i + 1])  # type: ignore[attr-defined]
+            + (cum[j] - cum[i + 1])
+            + self._area(j, self._times[j], t1)  # type: ignore[attr-defined]
+        )
+
+    def drain_time(self, t: float, bits: float) -> float | None:
+        """Smallest delta >= 0 with ``integrate(t, t + delta) >= bits``: the
+        horizontal deviation C^-1(C(t) + bits) - t, or None when
+        C(horizon) - C(t) < bits.  One bisection of the prefix table finds
+        the drain segment and one stable quadratic root the instant in it.
+        """
+        t = float(t)
+        bits = float(bits)
+        if not 0.0 <= t <= self.horizon:
+            raise ValueError(f"t={t!r} outside trace domain [0, {self.horizon!r}]")
+        if math.isnan(bits):
+            raise ValueError("bits must be a number, got nan")
+        if bits <= 0.0:
             return 0.0
-        total = 0.0
-        i = self._index_at(t0)
-        cur = t0
-        n = len(self.breakpoints)
-        while cur < t1:
-            seg_end = self._times[i + 1] if i + 1 < n else self.horizon  # type: ignore[attr-defined]
-            end = min(seg_end, t1)
-            bp = self.breakpoints[i]
-            if bp.mode is SegmentMode.LINEAR:
-                va = self.capacity_at(cur)
-                vb = self.left_limit_at(end)
-                total += 0.5 * (va + vb) * (end - cur)
-            else:
-                total += bp.rate * (end - cur)
-            cur = end
-            i += 1
-        return total
+        cum = self._cum  # type: ignore[attr-defined]
+        i = self._index_at(t)
+        start, rest = t, bits
+        head = self._area(i, t, self._end(i))
+        if bits > head:
+            # C(t) + bits, counted from the end of t's own segment
+            target = cum[i + 1] + (bits - head)
+            if target > cum[-1]:
+                return None
+            # the last breakpoint at or before the drain instant
+            i = bisect_right(cum, target, i + 1, len(self.breakpoints)) - 1
+            start, rest = self._times[i], target - cum[i]  # type: ignore[attr-defined]
+        rate, slope = self._rate_slope(i)
+        v0 = rate + slope * (start - self._times[i])  # type: ignore[attr-defined]
+        x = 2.0 * rest / (v0 + math.sqrt(max(0.0, v0 * v0 + 2.0 * slope * rest)))
+        return min(start + x, self._end(i)) - t
 
 
 @dataclass(frozen=True)
@@ -225,18 +262,27 @@ class CapacityEvent:
         return self.pre_rate / self.post_rate
 
 
-def make_step_trace(pre_rate: float, post_rate: float, onset: float, horizon: float) -> CapacityTrace:
-    """Constant ``pre_rate``, instantaneous drop to ``post_rate`` at ``onset``."""
+def _check_reduction(
+    kind: str, pre_rate: float, post_rate: float, onset: float, horizon: float
+) -> tuple[float, float, float, float]:
+    """Shared checks of the trace builders: a reduction whose onset lies
+    strictly inside (0, horizon)."""
     pre_rate = check_rate(pre_rate, "pre_rate")
     post_rate = check_rate(post_rate, "post_rate")
     onset = check_seconds(onset, "onset")
     horizon = check_seconds(horizon, "horizon")
     if post_rate >= pre_rate:
         raise ValueError(
-            f"a step must be a reduction: post_rate < pre_rate required, got {pre_rate!r} -> {post_rate!r}"
+            f"a {kind} must be a reduction: post_rate < pre_rate required, got {pre_rate!r} -> {post_rate!r}"
         )
     if not 0.0 < onset < horizon:
         raise ValueError(f"onset must lie strictly inside (0, horizon), got onset={onset!r}, horizon={horizon!r}")
+    return pre_rate, post_rate, onset, horizon
+
+
+def make_step_trace(pre_rate: float, post_rate: float, onset: float, horizon: float) -> CapacityTrace:
+    """Constant ``pre_rate``, instantaneous drop to ``post_rate`` at ``onset``."""
+    pre_rate, post_rate, onset, horizon = _check_reduction("step", pre_rate, post_rate, onset, horizon)
     return CapacityTrace((Breakpoint(0.0, pre_rate), Breakpoint(onset, post_rate)), horizon)
 
 
@@ -245,34 +291,14 @@ def make_ramp_trace(
 ) -> CapacityTrace:
     """``pre_rate`` until ``onset``, linear decline to ``post_rate`` over
     ``ramp_duration``, then ``post_rate``.  A zero ramp (or one below the
-    floating-point resolution at ``onset``) degenerates to
-    :func:`make_step_trace` with identical breakpoints."""
-    ramp_duration = check_seconds(ramp_duration, "ramp_duration")
-    onset = check_seconds(onset, "onset")
-    if ramp_duration == 0.0 or onset + ramp_duration <= onset:
-        return make_step_trace(pre_rate, post_rate, onset, horizon)
-    pre_rate = check_rate(pre_rate, "pre_rate")
-    post_rate = check_rate(post_rate, "post_rate")
-    onset = check_seconds(onset, "onset")
-    horizon = check_seconds(horizon, "horizon")
-    if post_rate >= pre_rate:
-        raise ValueError(
-            f"a ramp must be a reduction: post_rate < pre_rate required, got {pre_rate!r} -> {post_rate!r}"
-        )
-    if onset <= 0.0:
-        raise ValueError(f"onset must be > 0, got {onset!r}")
-    if onset + ramp_duration > horizon:
-        raise ValueError(
-            f"ramp ends at {onset + ramp_duration!r}, past the horizon {horizon!r}"
-        )
-    return CapacityTrace(
-        (
-            Breakpoint(0.0, pre_rate),
-            Breakpoint(onset, pre_rate, SegmentMode.LINEAR),
-            Breakpoint(onset + ramp_duration, post_rate),
-        ),
-        horizon,
-    )
+    floating-point resolution at ``onset``) degenerates to the breakpoints
+    of :func:`make_step_trace`."""
+    pre_rate, post_rate, onset, horizon = _check_reduction("ramp", pre_rate, post_rate, onset, horizon)
+    end = onset + check_seconds(ramp_duration, "ramp_duration")
+    if end > horizon:
+        raise ValueError(f"ramp ends at {end!r}, past the horizon {horizon!r}")
+    ramp = (Breakpoint(onset, pre_rate, SegmentMode.LINEAR),) if end > onset else ()
+    return CapacityTrace((Breakpoint(0.0, pre_rate), *ramp, Breakpoint(end, post_rate)), horizon)
 
 
 def detect_events(trace: CapacityTrace) -> list[CapacityEvent]:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from ccbound.fluid import (
     result_to_json_dict,
     sample_result,
     samples_to_csv,
-    sender_rate,
+    sender_rate_trace,
     simulate_fluid,
 )
 from ccbound.trace import (
@@ -57,42 +59,48 @@ class TestSenderRate:
     def test_oracle_final_switches_at_onset_plus_delay(self):
         trace = make_step_trace(1e8, 1e7, 1.0, 5.0)
         config = SimConfig(trace, OracleFinal(0.017))
-        assert sender_rate(config, 0.0) == 1e8
-        assert sender_rate(config, 1.016) == 1e8  # signal still in flight
-        assert sender_rate(config, 1.017) == 1e7
-        assert sender_rate(config, 5.0) == 1e7
+        rate = sender_rate_trace(config).capacity_at
+        assert rate(0.0) == 1e8
+        assert rate(1.016) == 1e8  # signal still in flight
+        assert rate(1.017) == 1e7
+        assert rate(5.0) == 1e7
 
     def test_oracle_final_during_ramp_keeps_pre_rate(self):
         trace = make_ramp_trace(1e8, 1e7, 1.0, 0.4, 5.0)
         config = SimConfig(trace, OracleFinal(0.1))
-        assert sender_rate(config, 1.05) == 1e8
-        assert sender_rate(config, 1.1) == 1e7
+        rate = sender_rate_trace(config).capacity_at
+        assert rate(1.05) == 1e8
+        assert rate(1.1) == 1e7
 
     def test_tracking_with_zero_delay_is_capacity(self):
         trace = make_ramp_trace(1e8, 1e7, 1.0, 0.4, 5.0)
         config = SimConfig(trace, OracleTracking(0.0))
+        rate = sender_rate_trace(config).capacity_at
         for k in range(51):
             t = k * 0.1
-            assert sender_rate(config, t) == trace.capacity_at(t)
+            assert rate(t) == trace.capacity_at(t)
 
     def test_tracking_shifts_by_delay(self):
         trace = make_ramp_trace(1e8, 1e7, 1.0, 0.4, 5.0)
         config = SimConfig(trace, OracleTracking(0.25))
-        assert sender_rate(config, 0.1) == 1e8  # before anything happened
-        assert sender_rate(config, 1.45) == trace.capacity_at(1.2)
-        assert sender_rate(config, 1.0) == trace.capacity_at(0.75)
+        rate = sender_rate_trace(config).capacity_at
+        assert rate(0.1) == 1e8  # before anything happened
+        assert rate(1.45) == trace.capacity_at(1.2)
+        assert rate(1.0) == trace.capacity_at(0.75)
 
     def test_fixed_rate_constant(self):
         trace = make_step_trace(1e8, 1e7, 1.0, 5.0)
         config = SimConfig(trace, FixedRate(3e6))
-        assert sender_rate(config, 0.0) == 3e6
-        assert sender_rate(config, 4.2) == 3e6
+        rate = sender_rate_trace(config).capacity_at
+        assert rate(0.0) == 3e6
+        assert rate(4.2) == 3e6
 
     def test_out_of_window_rejected(self):
         trace = make_step_trace(1e8, 1e7, 1.0, 5.0)
         config = SimConfig(trace, FixedRate(3e6), horizon=2.0)
+        rate = sender_rate_trace(config).capacity_at
         with pytest.raises(ValueError):
-            sender_rate(config, 2.5)
+            rate(2.5)
 
 
 class TestStepCase:
@@ -263,6 +271,23 @@ class TestRecoveryAndMultiEvent:
         with pytest.raises(ModelViolationError, match="overlapping"):
             SimConfig(trace, OracleFinal(1.5))
 
+    def test_overlap_after_the_horizon_ignored(self):
+        # the reductions at 1.0 s and 1.06 s overlap for d = 0.1 s, but the
+        # second starts after the 1.02 s horizon and never reaches the sender
+        trace = CapacityTrace(
+            (
+                Breakpoint(0.0, 1e8),
+                Breakpoint(1.0, 1e7),
+                Breakpoint(1.05, 1e8),
+                Breakpoint(1.06, 1e6),
+            ),
+            2.0,
+        )
+        result = simulate_fluid(SimConfig(trace, OracleFinal(0.1), horizon=1.02))
+        assert result.peak_backlog == pytest.approx(9e7 * 0.02, rel=1e-9)
+        with pytest.raises(ModelViolationError, match="overlapping"):
+            SimConfig(trace, OracleFinal(0.1), horizon=1.1)
+
     def test_horizon_beyond_trace_rejected(self):
         trace = make_step_trace(1e8, 1e7, 1.0, 5.0)
         with pytest.raises(ModelViolationError, match="horizon"):
@@ -303,6 +328,39 @@ class TestFifoDelay:
         delta = fifo_delay_at(result, trace, t)
         assert delta is not None
         assert trace.integrate(t, t + delta) == pytest.approx(b, rel=1e-9)
+
+
+class TestQueryCount:
+    """Deterministic complexity check: trace queries per solve and sampling."""
+
+    @staticmethod
+    def count_queries(n, monkeypatch):
+        rng = random.Random(n)
+        t, bps = 0.0, []
+        for k in range(n):
+            mode = rng.choice(("hold", "linear")) if k < n - 1 else "hold"
+            bps.append(Breakpoint(t, rng.uniform(1e7, 1e8), mode))
+            t += rng.uniform(0.005, 0.015)
+        trace = CapacityTrace(tuple(bps), t)
+        config = SimConfig(trace, FixedRate(2e8))  # above every rate: backlog persists
+        counts = Counter()
+        with monkeypatch.context() as patch:
+            for name in ("capacity_at", "left_limit_at", "integrate", "drain_time"):
+                method = getattr(CapacityTrace, name)
+
+                def counted(self, *args, _name=name, _method=method):
+                    counts[_name] += 1
+                    return _method(self, *args)
+
+                patch.setattr(CapacityTrace, name, counted)
+            result = simulate_fluid(config)
+            sample_result(result, trace.horizon / 200)
+        return sum(counts.values())
+
+    def test_queries_grow_linearly_under_persistent_backlog(self, monkeypatch):
+        small = self.count_queries(250, monkeypatch)
+        large = self.count_queries(1000, monkeypatch)
+        assert large <= 4.5 * small, (small, large)
 
 
 class TestSampling:

@@ -44,6 +44,35 @@ def traces(draw):
     return CapacityTrace(bps, times[-1] + tail if times[-1] + tail > 0 else 1.0)
 
 
+def walk_integrate(trace, t0, t1):
+    """Reference integral: walk the segments, one trapezoid each (a hold
+    segment is a trapezoid with equal sides)."""
+    total, cur = 0.0, t0
+    for end in [x for x in trace.times if t0 < x < t1] + [t1]:
+        total += 0.5 * (trace.capacity_at(cur) + trace.left_limit_at(end)) * (end - cur)
+        cur = end
+    return total
+
+
+def walk_drain(trace, t, bits):
+    """Reference drain time: walk forward segment by segment until the
+    served bits cover ``bits``; None when the horizon comes first."""
+    if bits <= 0.0:
+        return 0.0
+    cur = t
+    for end in [x for x in trace.times if x > t] + [trace.horizon]:
+        if end <= cur:
+            continue
+        v0, v1 = trace.capacity_at(cur), trace.left_limit_at(end)
+        chunk = 0.5 * (v0 + v1) * (end - cur)
+        if chunk >= bits:
+            slope = (v1 - v0) / (end - cur)
+            return (cur - t) + 2.0 * bits / (v0 + math.sqrt(max(0.0, v0 * v0 + 2.0 * slope * bits)))
+        bits -= chunk
+        cur = end
+    return None
+
+
 class TestConstruction:
     def test_step_trace_shape(self):
         t = make_step_trace(100 * MBPS, 10 * MBPS, 1.0, 5.0)
@@ -186,6 +215,50 @@ class TestIntegrate:
         whole = trace.integrate(t0, t2)
         split = trace.integrate(t0, t1) + trace.integrate(t1, t2)
         assert math.isclose(whole, split, rel_tol=1e-12, abs_tol=1e-6)
+
+
+class TestCumulativeCurve:
+    """The prefix table against the segment walks it replaced."""
+
+    @given(traces(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_segment_walk(self, trace, data):
+        h = trace.horizon
+        # Differences of prefix sums round to a few ulps of C(h) whatever
+        # the interval, and rounding an instant costs rate * ulp(h) bits;
+        # the floor covers both with a wide margin.
+        rates = [bp.rate for bp in trace.breakpoints]
+        floor = 1e-13 * walk_integrate(trace, 0.0, h) + 4.0 * max(rates) * math.ulp(h)
+        t0, t1 = sorted(data.draw(st.lists(st.floats(0.0, h), min_size=2, max_size=2)))
+        assert math.isclose(
+            trace.integrate(t0, t1), walk_integrate(trace, t0, t1), rel_tol=1e-9, abs_tol=floor
+        )
+
+        t = data.draw(st.floats(0.0, h))
+        avail = walk_integrate(trace, t, h)
+        bits = data.draw(st.floats(0.0, 1.2)) * (avail or 1e3)
+        delta = trace.drain_time(t, bits)
+        if abs(avail - bits) > max(1e-9 * bits, floor):
+            assert (delta is None) == (avail < bits)
+        if delta is None:
+            return
+        assert 0.0 <= delta and t + delta <= h + 2.0 * math.ulp(h)
+        served = trace.integrate(t, min(t + delta, h))
+        assert math.isclose(served, bits, rel_tol=1e-9, abs_tol=floor)
+        reference = walk_drain(trace, t, bits)
+        if reference is not None:  # the first instant that drains ``bits``
+            assert math.isclose(delta, reference, rel_tol=1e-9, abs_tol=floor / min(rates))
+
+    def test_drain_time_edges(self):
+        t = make_step_trace(1e8, 1e7, 1.0, 5.0)
+        assert t.drain_time(0.5, 0.0) == 0.0
+        assert t.drain_time(0.5, 6e7) == pytest.approx(0.5 + 1e7 / 1e7, rel=1e-12)
+        assert t.drain_time(5.0, 1.0) is None
+        assert t.drain_time(4.0, 1e7) == pytest.approx(1.0, rel=1e-12)  # exactly at the horizon
+        with pytest.raises(ValueError):
+            t.drain_time(5.1, 1.0)
+        with pytest.raises(ValueError):
+            t.drain_time(1.0, math.nan)
 
 
 class TestDetectEvents:
