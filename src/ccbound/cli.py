@@ -2,7 +2,9 @@
 trace ingestion, emitting plot-ready CSV or JSON.
 
 Flags use milliseconds and Mbit/s; conversion to the library's internal
-seconds and bit/s happens here and only here.  Exit codes are a stable
+seconds and bit/s happens here and only here.  Results are built in SI with
+each key's unit as its suffix and converted on output through one table,
+``_s`` -> ``_ms`` and ``_bps`` -> ``_mbps``.  Exit codes are a stable
 contract: 0 success, 2 bad usage or flag values, 3 malformed input data,
 4 model violation (e.g. overlapping oracle signal windows).
 """
@@ -15,6 +17,7 @@ import io
 import json
 import math
 import sys
+from operator import attrgetter, truediv
 
 from . import __version__
 from .bounds import peak_delay_ramp, peak_delay_step, reduction_factor, sweep
@@ -24,6 +27,7 @@ from .fluid import (
     OracleFinal,
     OracleTracking,
     SimConfig,
+    result_to_json_dict,
     sample_result,
     simulate_fluid,
 )
@@ -49,6 +53,13 @@ MS = 1e-3
 MBPS = 1e6
 
 UNITS = {"time": "ms", "rate": "Mbit/s", "backlog": "bits"}
+
+# Output unit table: SI key suffix -> (CLI key suffix, divisor).
+_OUT_UNITS = (("_s", "_ms", MS), ("_bps", "_mbps", MBPS))
+
+_FLUID_SERIES = ("t_s", "backlog_bits", "delay_s", "fifo_delay_s")
+_fluid_row = attrgetter("t", "backlog", "delay_final_norm", "fifo_delay")
+_AIMD_SERIES = ("t_s", "queue_delay_s")
 
 # CLI-side scenario parameter names (boundary units) -> library kwargs (SI).
 _SCENARIO_KEY_MAP = {
@@ -85,18 +96,67 @@ def _envelope(command: str, args: argparse.Namespace, results: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _fmt(x: float) -> str:
-    """Compact fixed-point with microsecond-level precision in ms columns."""
-    s = f"{x:.6f}".rstrip("0").rstrip(".")
-    return s if s else "0"
+def _cli_name(key: str) -> tuple[str, float]:
+    """An SI result key renamed to CLI units, and the divisor for its value."""
+    for si, cli, scale in _OUT_UNITS:
+        if key.endswith(si):
+            return key.removesuffix(si) + cli, scale
+    return key, 1.0
 
 
-def _csv_table(header: list[str], rows: list[list[str]]) -> str:
+def _cli_units(si: dict) -> dict:
+    """An SI result dict in CLI units; nested dicts and lists of dicts too."""
+    out = {}
+    for key, value in si.items():
+        name, scale = _cli_name(key)
+        if isinstance(value, dict):
+            value = _cli_units(value)
+        elif isinstance(value, list):
+            value = [_cli_units(v) for v in value]
+        elif scale != 1.0 and value is not None:
+            value /= scale
+        out[name] = value
+    return out
+
+
+def _cell(value, scale: float):
+    """A reference-table cell: numbers in compact fixed point (microsecond
+    precision in ms columns), flags as true/false."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return f"{value / scale:.6f}".rstrip("0").rstrip(".") or "0"
+    return value
+
+
+def _table_csv(columns: tuple[str, ...], rows: list[tuple]) -> str:
+    names, scales = zip(*map(_cli_name, columns))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerow(names)
+    writer.writerows(map(_cell, row, scales) for row in rows)
     return buf.getvalue()
+
+
+def _write_run(args: argparse.Namespace, summary: dict, columns: tuple[str, ...], rows) -> int:
+    """Write a simulate run's SI summary and series ``rows`` (tuples in
+    ``columns`` order; None for a JSON run without a series) in CLI units."""
+    summary = _cli_units(summary)
+    names, scales = zip(*map(_cli_name, columns))
+    if args.format == "csv":
+        lines = [",".join(names)]
+        lines += [",".join(map(repr, map(truediv, row, scales))) for row in rows]
+        _emit("\n".join(lines) + "\n", args.out)
+        print(json.dumps({"summary": summary}, sort_keys=True), file=sys.stderr)
+        return EXIT_OK
+    results: dict = {"summary": summary}
+    if rows is not None:
+        results["series"] = [
+            {n: None if v != v else v for n, v in zip(names, map(truediv, row, scales))}
+            for row in rows
+        ]
+    _emit(_envelope("simulate", args, results), args.out)
+    return EXIT_OK
 
 
 def _parse_float_list(text: str, flag: str) -> list[float]:
@@ -159,8 +219,8 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         r = args.ramp_ms * MS
         q = peak_delay_ramp(c, d, r)
         branch = "short_ramp" if r <= d else "long_ramp"
-    results: dict = {"q_ms": q / MS, "branch": branch, "c_factor": c}
-    if args.debug_echo:
+    results = _cli_units({"q_s": q, "branch": branch, "c_factor": c})
+    if args.debug_echo:  # SI, past the unit table
         results["internal"] = {
             "c_factor": c,
             "signal_delay_s": d,
@@ -170,7 +230,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         ramp = "" if args.ramp_ms is None else repr(float(args.ramp_ms))
         text = (
             "c_factor,delay_ms,ramp_ms,q_ms,branch\n"
-            f"{c!r},{float(args.delay_ms)!r},{ramp},{q / MS!r},{branch}\n"
+            f"{c!r},{float(args.delay_ms)!r},{ramp},{results['q_ms']!r},{branch}\n"
         )
     else:
         text = _envelope("bound", args, results)
@@ -200,65 +260,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     controller = _parse_fluid_controller(args.controller, args.delay_ms)
     config = SimConfig(trace, controller, horizon=sim_horizon)
     result = simulate_fluid(config)
-    signal_delay = None if args.delay_ms is None else args.delay_ms * MS
-    summary = {
-        "controller": args.controller,
-        "peak_delay_ms": result.peak_delay_final_norm / MS,
-        "peak_backlog_bits": result.peak_backlog,
-        "peak_time_ms": result.peak_time / MS,
-        "peak_fifo_delay_ms": result.peak_fifo_delay / MS,
-        "fifo_beyond_horizon": result.fifo_beyond_horizon,
-        "bits_in": result.bits_in,
-        "bits_out": result.bits_out,
-        "events": [
-            {
-                "onset_ms": e.onset / MS,
-                "pre_mbps": e.pre_rate / MBPS,
-                "post_mbps": e.post_rate / MBPS,
-                "c_factor": e.c_factor,
-                "ramp_ms": e.ramp_duration / MS,
-                "bound_ms": (
-                    None
-                    if signal_delay is None
-                    else peak_delay_ramp(e.c_factor, signal_delay, e.ramp_duration) / MS
-                ),
-            }
-            for e in result.events
-        ],
-    }
+    summary = {"controller": args.controller, **result_to_json_dict(result)}
+    d = None if args.delay_ms is None else args.delay_ms * MS
+    for e, row in zip(result.events, summary["events"]):
+        row["bound_s"] = None if d is None else peak_delay_ramp(e.c_factor, d, e.ramp_duration)
 
     sample_ms = args.sample_ms
     if args.format == "csv" and sample_ms is None:
         sample_ms = 10.0
-    series = None
-    if sample_ms is not None:
-        series = [
-            {
-                "t_ms": s.t / MS,
-                "backlog_bits": s.backlog,
-                "delay_ms": s.delay_final_norm / MS,
-                "fifo_delay_ms": None if math.isnan(s.fifo_delay) else s.fifo_delay / MS,
-            }
-            for s in sample_result(result, sample_ms * MS)
-        ]
-
-    if args.format == "csv":
-        assert series is not None
-        lines = ["t_ms,backlog_bits,delay_ms,fifo_delay_ms"]
-        for row in series:
-            fifo = row["fifo_delay_ms"]
-            lines.append(
-                f"{row['t_ms']!r},{row['backlog_bits']!r},{row['delay_ms']!r},"
-                f"{'nan' if fifo is None else repr(fifo)}"
-            )
-        _emit("\n".join(lines) + "\n", args.out)
-        print(json.dumps({"summary": summary}, sort_keys=True), file=sys.stderr)
-    else:
-        results: dict = {"summary": summary}
-        if series is not None:
-            results["series"] = series
-        _emit(_envelope("simulate", args, results), args.out)
-    return EXIT_OK
+    rows = None if sample_ms is None else map(_fluid_row, sample_result(result, sample_ms * MS))
+    return _write_run(args, summary, _FLUID_SERIES, rows)
 
 
 def _simulate_aimd(args: argparse.Namespace, trace, sim_horizon: float | None) -> int:
@@ -281,7 +292,7 @@ def _simulate_aimd(args: argparse.Namespace, trace, sim_horizon: float | None) -
     result = simulate_packets(config)
     summary: dict = {
         "controller": "aimd",
-        "peak_queue_delay_ms": result.peak_queue_delay / MS,
+        "peak_queue_delay_s": result.peak_queue_delay,
         "congestion_reached": result.congestion_reached,
         "packets_sent": result.packets_sent,
         "packets_delivered": result.packets_delivered,
@@ -291,10 +302,10 @@ def _simulate_aimd(args: argparse.Namespace, trace, sim_horizon: float | None) -
         try:
             cmp = compare_to_bound(result, events[0], (args.xb_ms + args.rev_ms) * MS)
             summary["bound_comparison"] = {
-                "bound_ms": cmp.bound / MS,
-                "measured_peak_ms": cmp.measured_peak / MS,
+                "bound_s": cmp.bound,
+                "measured_peak_s": cmp.measured_peak,
                 "ratio": cmp.ratio,
-                "slack_ms": cmp.slack / MS,
+                "slack_s": cmp.slack,
                 "violation": cmp.violation,
             }
         except ValueError as exc:
@@ -303,19 +314,8 @@ def _simulate_aimd(args: argparse.Namespace, trace, sim_horizon: float | None) -
         with open(args.log_out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(event_log_to_csv(result))
 
-    if args.format == "csv":
-        lines = ["t_ms,queue_delay_ms"]
-        lines += [f"{t / MS!r},{q / MS!r}" for t, q in result.queue_delay_series]
-        _emit("\n".join(lines) + "\n", args.out)
-        print(json.dumps({"summary": summary}, sort_keys=True), file=sys.stderr)
-    else:
-        results: dict = {"summary": summary}
-        if args.sample_ms is not None:
-            results["series"] = [
-                {"t_ms": t / MS, "queue_delay_ms": q / MS} for t, q in result.queue_delay_series
-            ]
-        _emit(_envelope("simulate", args, results), args.out)
-    return EXIT_OK
+    series = args.format == "csv" or args.sample_ms is not None
+    return _write_run(args, summary, _AIMD_SERIES, result.queue_delay_series if series else None)
 
 
 def _self_test_grid(grid) -> None:
@@ -367,15 +367,15 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         return EXIT_OK
     if args.table:
         if args.table == "dublin-ny":
-            rows = [
-                [row.label, _fmt(row.one_way_delay / MS), _fmt(row.q_at_c10 / MS),
-                 str(row.lower_bound).lower()]
-                for row in dublin_ny_table()
-            ]
-            text = _csv_table(["label", "one_way_delay_ms", "q_at_c10_ms", "lower_bound"], rows)
+            text = _table_csv(
+                ("label", "one_way_delay_s", "q_at_c10_s", "lower_bound"),
+                [(r.label, r.one_way_delay, r.q_at_c10, r.lower_bound) for r in dublin_ny_table()],
+            )
         else:  # wifi; argparse restricts the choices
-            rows = [[r.technology, r.note, _fmt(r.rate / MBPS)] for r in wifi_rates()]
-            text = _csv_table(["technology", "note", "rate_mbps"], rows)
+            text = _table_csv(
+                ("technology", "note", "rate_bps"),
+                [(r.technology, r.note, r.rate) for r in wifi_rates()],
+            )
         _emit(text, args.out)
         return EXIT_OK
     if args.emit:
@@ -430,7 +430,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--controller", required=True,
                    help="oracle-final | oracle-tracking | fixed:<Mbit/s> | aimd")
     p.add_argument("--delay-ms", type=float, help="signaling delay for the oracle controllers")
-    p.add_argument("--sample-ms", type=float, help="emit a time series sampled at this step")
+    p.add_argument("--sample-ms", type=float,
+                   help="fluid: emit a time series sampled at this step (CSV default 10); "
+                   "aimd: add the per-dequeue series to JSON output, the step value is ignored")
     p.add_argument("--horizon-ms", type=float,
                    help="simulate only the first part of the trace (fluid controllers)")
     p.add_argument("--packet-bytes", type=float, default=1500.0, help="aimd: packet size")

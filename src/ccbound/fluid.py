@@ -38,9 +38,12 @@ __all__ = [
     "simulate_fluid",
     "fifo_delay_at",
     "sample_result",
-    "samples_to_csv",
     "result_to_json_dict",
 ]
+
+# Most rows one sample_result call may build; finer steps are refused before
+# anything is allocated.
+MAX_SAMPLES = 1_000_000
 
 # Sender/capacity differences below this relative level are floating-point
 # dust from interpolating the same breakpoints, not a real rate mismatch.
@@ -405,10 +408,18 @@ def sample_result(result: FluidResult, step: float) -> list[FluidSample]:
 
     Sampling is presentation only: peak statistics come from the segments,
     so a sampled maximum can only undershoot ``result.peak_backlog``.
+    A step that would yield more than :data:`MAX_SAMPLES` rows raises
+    ValueError.
     """
     step = float(step)
     if not (math.isfinite(step) and step > 0.0):
         raise ValueError(f"step must be a finite value > 0 seconds, got {step!r}")
+    count = result.horizon / step + 1.0  # inf when the quotient overflows
+    if not count <= MAX_SAMPLES:
+        raise ValueError(
+            f"sampling {result.horizon!r} s every {step!r} s takes {count:.6g} rows, "
+            f"over the cap of {MAX_SAMPLES}"
+        )
     samples: list[FluidSample] = []
     k = 0
     while True:
@@ -429,43 +440,29 @@ def sample_result(result: FluidResult, step: float) -> list[FluidSample]:
     return samples
 
 
-def samples_to_csv(samples: list[FluidSample]) -> str:
-    lines = ["t_s,backlog_bits,delay_final_norm_s,fifo_delay_s"]
-    lines += [f"{s.t!r},{s.backlog!r},{s.delay_final_norm!r},{s.fifo_delay!r}" for s in samples]
-    return "\n".join(lines) + "\n"
-
-
 def result_to_json_dict(result: FluidResult) -> dict:
-    """Peak statistics plus the exact piecewise-quadratic description."""
+    """Peak statistics and the detected reductions in SI units.
+
+    Each key's suffix names its unit: ``_s`` seconds, ``_bps`` bit/s,
+    ``_bits`` bits.  ``peak_delay_s`` is ``peak_delay_final_norm``; the exact
+    piecewise-quadratic description stays on ``result.segments``.
+    """
     return {
+        "peak_delay_s": result.peak_delay_final_norm,
         "peak_backlog_bits": result.peak_backlog,
         "peak_time_s": result.peak_time,
-        "peak_delay_final_norm_s": result.peak_delay_final_norm,
         "peak_fifo_delay_s": result.peak_fifo_delay,
         "fifo_beyond_horizon": result.fifo_beyond_horizon,
-        "final_norm_rate_bps": result.final_norm_rate,
         "bits_in": result.bits_in,
         "bits_out": result.bits_out,
-        "backlog_end_bits": result.backlog_at(result.horizon),
-        "horizon_s": result.horizon,
         "events": [
             {
                 "onset_s": e.onset,
-                "pre_rate_bps": e.pre_rate,
-                "post_rate_bps": e.post_rate,
-                "ramp_duration_s": e.ramp_duration,
+                "pre_bps": e.pre_rate,
+                "post_bps": e.post_rate,
                 "c_factor": e.c_factor,
+                "ramp_s": e.ramp_duration,
             }
             for e in result.events
-        ],
-        "segments": [
-            {
-                "t_start_s": s.t_start,
-                "t_end_s": s.t_end,
-                "c0_bits": s.c0,
-                "c1_bits_per_s": s.c1,
-                "c2_bits_per_s2": s.c2,
-            }
-            for s in result.segments
         ],
     }

@@ -142,6 +142,15 @@ class TestSimulate:
         assert len(rows) == 11
         assert "summary" in err  # peak block still reaches the user
 
+    def test_sample_cap_exit_2_names_the_count(self, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "--scenario", "wifi-step", "--controller", "oracle-final",
+            "--delay-ms", "17", "--sample-ms", "1e-9",
+        )
+        assert code == 2
+        assert out == ""
+        assert "5e+12 rows" in err and "cap of 1000000" in err
+
     def test_aimd_dominates_oracle(self, capsys):
         code, out, _ = run_cli(
             capsys, "simulate", "--scenario", "ramp-contention",

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import io
+import json
 import math
 import random
 from collections import Counter
@@ -11,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ccbound import fluid
 from ccbound.bounds import peak_delay_ramp, peak_delay_step
+from ccbound.cli import main
 from ccbound.fluid import (
     FixedRate,
     ModelViolationError,
@@ -21,7 +25,6 @@ from ccbound.fluid import (
     fifo_delay_at,
     result_to_json_dict,
     sample_result,
-    samples_to_csv,
     sender_rate_trace,
     simulate_fluid,
 )
@@ -30,6 +33,7 @@ from ccbound.trace import (
     CapacityTrace,
     make_ramp_trace,
     make_step_trace,
+    trace_to_csv,
 )
 
 
@@ -404,27 +408,59 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_result(result, -1.0)
 
+    def test_rejects_more_rows_than_the_cap(self, monkeypatch):
+        trace = make_step_trace(1e8, 1e7, 1.0, 5.0)
+        result = simulate_fluid(SimConfig(trace, OracleFinal(0.017)))
+        # refused before any row is built: 5e12 rows, and inf when 5 s / step overflows
+        with pytest.raises(ValueError, match=r"5e\+12 rows, over the cap of 1000000"):
+            sample_result(result, 1e-12)
+        with pytest.raises(ValueError, match=r"inf rows, over the cap of 1000000"):
+            sample_result(result, 5e-324)
+        monkeypatch.setattr(fluid, "MAX_SAMPLES", 11)
+        assert len(sample_result(result, 0.5)) == 11
+        monkeypatch.setattr(fluid, "MAX_SAMPLES", 10)
+        with pytest.raises(ValueError, match="11 rows, over the cap of 10"):
+            sample_result(result, 0.5)
+
 
 class TestSerialization:
-    def test_sampled_csv_layout(self):
+    def test_sampled_csv_layout(self, capsys, monkeypatch):
+        # the CLI's CSV series: one row per sample, in ms, NaN written as nan
         trace = make_step_trace(1e8, 1e7, 1.0, 5.0)
         result = simulate_fluid(SimConfig(trace, OracleFinal(0.1)))
         samples = sample_result(result, 0.5)
-        lines = samples_to_csv(samples).splitlines()
-        assert lines[0] == "t_s,backlog_bits,delay_final_norm_s,fifo_delay_s"
+        monkeypatch.setattr("sys.stdin", io.StringIO(trace_to_csv(trace)))
+        argv = ["simulate", "--trace", "-", "--controller", "oracle-final", "--delay-ms", "100",
+                "--sample-ms", "500", "--format", "csv"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "t_ms,backlog_bits,delay_ms,fifo_delay_ms"
         assert len(lines) == len(samples) + 1
+        assert lines[-1].split(",")[-1] == "nan"  # the final plateau outlives the horizon
         t, backlog, delay, fifo = (float(x) for x in lines[-1].split(","))
-        assert t == pytest.approx(5.0)
-        assert delay == pytest.approx(backlog / result.final_norm_rate, rel=1e-12)
-        assert math.isnan(fifo)  # the final plateau outlives the horizon
+        assert t == pytest.approx(5000.0)
+        assert delay == pytest.approx(backlog / result.final_norm_rate * 1e3, rel=1e-12)
+        assert math.isnan(fifo) and math.isnan(samples[-1].fifo_delay)
 
     def test_json_document_roundtrips(self):
-        import json
-
         trace = make_ramp_trace(1e8, 1e7, 1.0, 0.2, 5.0)
         result = simulate_fluid(SimConfig(trace, OracleFinal(0.1)))
         doc = json.loads(json.dumps(result_to_json_dict(result)))
-        assert doc["peak_delay_final_norm_s"] == pytest.approx(0.225, rel=1e-9)
-        assert doc["events"][0]["c_factor"] == pytest.approx(10.0, rel=1e-12)
-        assert doc["segments"][0]["t_start_s"] == 0.0
-        assert doc["segments"][-1]["t_end_s"] == 5.0
+        assert set(doc) == {
+            "peak_delay_s", "peak_backlog_bits", "peak_time_s", "peak_fifo_delay_s",
+            "fifo_beyond_horizon", "bits_in", "bits_out", "events",
+        }
+        assert doc["peak_delay_s"] == pytest.approx(0.225, rel=1e-9)
+        assert doc["peak_backlog_bits"] == result.peak_backlog
+        assert doc["peak_time_s"] == result.peak_time
+        assert doc["peak_fifo_delay_s"] == result.peak_fifo_delay
+        assert doc["fifo_beyond_horizon"] is result.fifo_beyond_horizon
+        assert (doc["bits_in"], doc["bits_out"]) == (result.bits_in, result.bits_out)
+        (event,) = doc["events"]
+        assert event == {
+            "onset_s": 1.0, "pre_bps": 1e8, "post_bps": 1e7, "c_factor": 10.0,
+            "ramp_s": pytest.approx(0.2, rel=1e-12),
+        }
+        # the exact description stays on the result
+        assert result.segments[0].t_start == 0.0
+        assert result.segments[-1].t_end == 5.0
