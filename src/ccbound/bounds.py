@@ -113,20 +113,6 @@ class SweepGrid:
                     assert self.signal_delay is not None
                     yield (c, self.signal_delay, t, q)
 
-    def to_csv(self) -> str:
-        lines = ["c,d,d_ramp,q_seconds"]
-        lines += [f"{c!r},{d!r},{r!r},{q!r}" for c, d, r, q in self.rows()]
-        return "\n".join(lines) + "\n"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "c_values": list(self.c_values),
-            "time_values": list(self.time_values),
-            "signal_delay": self.signal_delay,
-            "results": [list(row) for row in self.results],
-        }
-
 
 def sweep(
     c_values: Sequence[float],

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -60,6 +61,7 @@ _OUT_UNITS = (("_s", "_ms", MS), ("_bps", "_mbps", MBPS))
 _FLUID_SERIES = ("t_s", "backlog_bits", "delay_s", "fifo_delay_s")
 _fluid_row = attrgetter("t", "backlog", "delay_final_norm", "fifo_delay")
 _AIMD_SERIES = ("t_s", "queue_delay_s")
+_SWEEP_SERIES = ("c", "d", "d_ramp", "q_seconds")  # SI, no suffix: written as is
 
 # CLI-side scenario parameter names (boundary units) -> library kwargs (SI).
 _SCENARIO_KEY_MAP = {
@@ -138,19 +140,26 @@ def _table_csv(columns: tuple[str, ...], rows: list[tuple]) -> str:
     return buf.getvalue()
 
 
+def _series_csv(columns: tuple[str, ...], rows) -> str:
+    """Series ``rows`` (tuples of floats in SI ``columns`` order) as CSV in
+    CLI units, every value written with ``repr``."""
+    names, scales = zip(*map(_cli_name, columns))
+    lines = [",".join(names)]
+    lines += [",".join(map(repr, map(truediv, row, scales))) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def _write_run(args: argparse.Namespace, summary: dict, columns: tuple[str, ...], rows) -> int:
     """Write a simulate run's SI summary and series ``rows`` (tuples in
     ``columns`` order; None for a JSON run without a series) in CLI units."""
     summary = _cli_units(summary)
-    names, scales = zip(*map(_cli_name, columns))
     if args.format == "csv":
-        lines = [",".join(names)]
-        lines += [",".join(map(repr, map(truediv, row, scales))) for row in rows]
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(_series_csv(columns, rows), args.out)
         print(json.dumps({"summary": summary}, sort_keys=True), file=sys.stderr)
         return EXIT_OK
     results: dict = {"summary": summary}
     if rows is not None:
+        names, scales = zip(*map(_cli_name, columns))
         results["series"] = [
             {n: None if v != v else v for n, v in zip(names, map(truediv, row, scales))}
             for row in rows
@@ -354,9 +363,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.self_test:
         _self_test_grid(grid)
     if args.format == "json":
-        _emit(_envelope("sweep", args, grid.to_json_dict()), args.out)
+        _emit(_envelope("sweep", args, dataclasses.asdict(grid)), args.out)
     else:
-        _emit(grid.to_csv(), args.out)
+        _emit(_series_csv(_SWEEP_SERIES, grid.rows()), args.out)
     return EXIT_OK
 
 

@@ -380,8 +380,9 @@ def simulate_fluid(config: SimConfig) -> FluidResult:
     )
 
 
-def fifo_delay_at(result: FluidResult, trace: CapacityTrace, t: float) -> float | None:
-    """How long the bit arriving at ``t`` waits before transmission.
+def fifo_delay_at(result: FluidResult, t: float) -> float | None:
+    """How long the bit arriving at ``t`` waits before transmission on
+    ``result.trace``.
 
     The horizontal deviation C^-1(C(t) + b(t)) - t of the cumulative
     capacity curve C at the backlog b(t): the smallest delta >= 0 with the
@@ -389,7 +390,7 @@ def fifo_delay_at(result: FluidResult, trace: CapacityTrace, t: float) -> float 
     :meth:`CapacityTrace.drain_time` in O(log n).  None when the backlog
     cannot drain before the horizon.
     """
-    return trace.drain_time(t, result.backlog_at(t))
+    return result.trace.drain_time(t, result.backlog_at(t))
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,12 @@ produce bit-identical event logs.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import random
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bounds import peak_delay_ramp
 from .trace import CapacityEvent, CapacityTrace, check_seconds, detect_events
@@ -31,8 +33,11 @@ __all__ = [
     "event_log_to_csv",
 ]
 
-_ARRIVE, _DEPART, _ACK = 0, 1, 2
-_THROUGHPUT_BUCKET = 0.1  # seconds
+_ARRIVE, _DEPART, _ACK, _MARKED_ACK = 0, 1, 2, 3
+
+# Most packets one simulate_packets run may send; a send burst that would
+# pass it is refused before any of its packets is scheduled.
+MAX_PACKETS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -76,8 +81,7 @@ class PacketSimConfig:
             raise ValueError(f"initial_window must be >= 0 packets, got {self.initial_window!r}")
 
 
-@dataclass(frozen=True)
-class LogEntry:
+class LogEntry(NamedTuple):
     t: float
     event: str  # enqueue | dequeue | mark | ack | window
     packet_id: int
@@ -91,10 +95,17 @@ class PacketSimResult:
     log: tuple[LogEntry, ...]
     queue_delay_series: tuple[tuple[float, float], ...]  # (dequeue time, sojourn)
     peak_queue_delay: float
-    throughput_series: tuple[tuple[float, float], ...]  # (bucket end, delivered bit/s)
     congestion_reached: bool
     packets_sent: int
     packets_delivered: int
+
+
+def _check_packet_count(count: int) -> None:
+    if count > MAX_PACKETS:
+        raise ValueError(
+            f"the run would send {count} packets, over the cap of {MAX_PACKETS} "
+            "(check the additive increase and the packet size)"
+        )
 
 
 def simulate_packets(config: PacketSimConfig) -> PacketSimResult:
@@ -105,10 +116,14 @@ def simulate_packets(config: PacketSimConfig) -> PacketSimResult:
     run whose queue never holds a waiting packet before the first capacity
     reduction is flagged ``congestion_reached=False`` (the sender never
     actually pressed against the link, so bound comparisons are vacuous).
+    A run that would send more than :data:`MAX_PACKETS` packets raises
+    ValueError.
     """
     trace = config.trace
     horizon = trace.horizon
     pkt = config.packet_size
+    fwd = config.forward_delay
+    xb, rev = config.x_to_b_delay, config.reverse_delay
     ai = config.aimd.additive_increase
     md = config.aimd.multiplicative_decrease
     rng = random.Random(config.seed)
@@ -116,23 +131,16 @@ def simulate_packets(config: PacketSimConfig) -> PacketSimResult:
     events = detect_events(trace)
     warm_end = events[0].onset if events else horizon
 
+    # Every packet's state lives in the heap key (t, seq, kind, packet id)
+    # or in the FIFO queue; seq is unique, so ties never compare the kind.
     heap: list[tuple[float, int, int, int]] = []
-    seq = 0
-
-    def push(t: float, kind: int, pid: int) -> None:
-        nonlocal seq
-        heapq.heappush(heap, (t, seq, kind, pid))
-        seq += 1
-
+    seq = itertools.count()
+    # (packet id, arrival time); the head is in service while it is there
+    queue: deque[tuple[int, float]] = deque()
+    queue_bits = 0.0
     cwnd = float(config.initial_window)
     in_flight = 0
     next_pid = 0
-    send_time: dict[int, float] = {}
-    arrive_time: dict[int, float] = {}
-    marked: dict[int, bool] = {}
-    queue: deque[int] = deque()
-    server_busy = False
-    queue_bits = 0.0
     # One decrease per window of data: marks on packets sent before the last
     # decrease are stale echoes of the congestion already reacted to.
     recovery_end_pid = 0
@@ -140,65 +148,49 @@ def simulate_packets(config: PacketSimConfig) -> PacketSimResult:
 
     log: list[LogEntry] = []
     delays: list[tuple[float, float]] = []
-    delivered: list[tuple[float, float]] = []
-
-    def send_packet(t: float) -> None:
-        nonlocal next_pid, in_flight
-        pid = next_pid
-        next_pid += 1
-        in_flight += 1
-        send_time[pid] = t
-        push(t + config.forward_delay, _ARRIVE, pid)
-
-    def start_service(t: float) -> None:
-        nonlocal congestion_seen
-        head = queue[0]
-        service = pkt / trace.capacity_at(t)
-        # saturated means a packet waited at least one full packet behind
-        # others, not just the phase overlap of the initial burst
-        if t <= warm_end and t - arrive_time[head] > service:
-            congestion_seen = True
-        push(t + service, _DEPART, head)
 
     # Initial burst, paced at the initial link rate with seeded phase jitter
     # to break synchronization artifacts while staying deterministic.
+    _check_packet_count(config.initial_window)
     spacing = pkt / trace.capacity_at(0.0)
     for k in range(config.initial_window):
         t0 = k * spacing + rng.random() * spacing * 0.5
         if t0 >= horizon:
             break
-        send_packet(t0)
+        heapq.heappush(heap, (t0 + fwd, next(seq), _ARRIVE, k))
+        next_pid = in_flight = k + 1
 
     while heap and heap[0][0] <= horizon:
         t, _, kind, pid = heapq.heappop(heap)
         if kind == _ARRIVE:
-            arrive_time[pid] = t
-            queue.append(pid)
+            queue.append((pid, t))
             queue_bits += pkt
             log.append(LogEntry(t, "enqueue", pid, queue_bits))
-            if not server_busy:
-                server_busy = True
-                start_service(t)
+            if len(queue) == 1:  # the server was idle
+                heapq.heappush(heap, (t + pkt / trace.capacity_at(t), next(seq), _DEPART, pid))
         elif kind == _DEPART:
-            head = queue.popleft()
+            head, arrived = queue.popleft()
             assert head == pid  # FIFO service order
             queue_bits -= pkt
-            sojourn = t - arrive_time[pid]
+            sojourn = t - arrived
             delays.append((t, sojourn))
-            delivered.append((t, pkt))
             mark = sojourn > config.mark_threshold
-            marked[pid] = mark
             log.append(LogEntry(t, "dequeue", pid, queue_bits, "marked" if mark else ""))
             if mark:
                 log.append(LogEntry(t, "mark", pid, queue_bits, f"sojourn={sojourn:.6f}"))
-            push(t + config.x_to_b_delay + config.reverse_delay, _ACK, pid)
+            ack = _MARKED_ACK if mark else _ACK
+            heapq.heappush(heap, (t + xb + rev, next(seq), ack, pid))
             if queue:
-                start_service(t)
-            else:
-                server_busy = False
+                head, arrived = queue[0]
+                service = pkt / trace.capacity_at(t)
+                # saturated means a packet waited at least one full packet
+                # behind others, not just the phase overlap of the initial burst
+                if t <= warm_end and t - arrived > service:
+                    congestion_seen = True
+                heapq.heappush(heap, (t + service, next(seq), _DEPART, head))
         else:  # ACK back at the sender
             in_flight -= 1
-            was_marked = marked.get(pid, False)
+            was_marked = kind == _MARKED_ACK
             if was_marked:
                 if pid >= recovery_end_pid:
                     cwnd = max(1.0, cwnd * md)
@@ -212,28 +204,22 @@ def simulate_packets(config: PacketSimConfig) -> PacketSimResult:
                     ("marked " if was_marked else "") + f"cwnd={cwnd:.3f}",
                 )
             )
-            while in_flight < int(cwnd + 1e-9) and t < horizon:
-                send_packet(t)
-
-    throughput: list[tuple[float, float]] = []
-    if delivered:
-        n_buckets = int(horizon / _THROUGHPUT_BUCKET) + 1
-        acc = [0.0] * n_buckets
-        for td, bits in delivered:
-            acc[min(int(td / _THROUGHPUT_BUCKET), n_buckets - 1)] += bits
-        throughput = [
-            ((i + 1) * _THROUGHPUT_BUCKET, acc[i] / _THROUGHPUT_BUCKET) for i in range(n_buckets)
-        ]
+            burst = int(cwnd + 1e-9) - in_flight
+            if burst > 0 and t < horizon:
+                _check_packet_count(next_pid + burst)
+                for new_pid in range(next_pid, next_pid + burst):
+                    heapq.heappush(heap, (t + fwd, next(seq), _ARRIVE, new_pid))
+                next_pid += burst
+                in_flight += burst
 
     return PacketSimResult(
         config=config,
         log=tuple(log),
         queue_delay_series=tuple(delays),
         peak_queue_delay=max((q for _, q in delays), default=0.0),
-        throughput_series=tuple(throughput),
         congestion_reached=congestion_seen,
         packets_sent=next_pid,
-        packets_delivered=len(delivered),
+        packets_delivered=len(delays),
     )
 
 

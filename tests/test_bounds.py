@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -15,6 +16,7 @@ from ccbound.bounds import (
     reduction_factor,
     sweep,
 )
+from ccbound.cli import main
 
 MBPS = 1e6
 
@@ -188,9 +190,9 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep([2.0], d_ramp_values=[0.01])  # missing the fixed signal delay
 
-    def test_csv_long_form(self):
-        grid = sweep([2.0], d_values=[0.01, 0.02])
-        lines = grid.to_csv().splitlines()
+    def test_csv_long_form(self, capsys):
+        assert main(["sweep", "--c-list", "2", "--delay-list-ms", "10,20"]) == 0
+        lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "c,d,d_ramp,q_seconds"
         assert len(lines) == 3
         c, d, r, q = lines[1].split(",")
@@ -199,7 +201,7 @@ class TestSweep:
 
     def test_json_dict_shape(self):
         grid = sweep([2.0, 5.0], d_ramp_values=[0.0, 0.1], signal_delay=0.1)
-        doc = grid.to_json_dict()
+        doc = dataclasses.asdict(grid)
         assert doc["kind"] == "ramp"
         assert doc["signal_delay"] == 0.1
         assert len(doc["results"]) == 2 and len(doc["results"][0]) == 2

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import time
 
 import pytest
 
@@ -150,6 +151,30 @@ class TestSimulate:
         assert code == 2
         assert out == ""
         assert "5e+12 rows" in err and "cap of 1000000" in err
+
+    def test_aimd_packet_cap_exit_2(self, capsys):
+        # the first unmarked ACK asks for ~1e11 packets at once: refused
+        # before any of them is scheduled
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "simulate", "--scenario", "wifi-step", "--controller", "aimd", "--ai", "1e12",
+        )
+        assert time.perf_counter() - start < 30.0
+        assert code == 2
+        assert out == ""
+        assert "cap of 1000000" in err
+
+    def test_aimd_tiny_packets_reach_the_cap(self, capsys, monkeypatch):
+        # 1e-6-byte packets send 36,675 packets here; growth past the cap
+        # is refused burst by burst
+        monkeypatch.setattr("ccbound.packetsim.MAX_PACKETS", 10_000)
+        code, out, err = run_cli(
+            capsys, "simulate", "--scenario", "wifi-step", "--controller", "aimd",
+            "--packet-bytes", "1e-6",
+        )
+        assert code == 2
+        assert out == ""
+        assert "cap of 10000" in err
 
     def test_aimd_dominates_oracle(self, capsys):
         code, out, _ = run_cli(

@@ -5,7 +5,8 @@ error text included, so a change to how results are built, unit-converted or
 written cannot alter what a user reads.  Outputs longer than a screenful are
 pinned by their sha256.  The cases include flag values such as 15.7 ms and
 62.8 ms that do not survive a ms -> s -> ms round trip, and runs whose FIFO
-backlog outlives the horizon (``nan`` in CSV, ``null`` in JSON).
+backlog outlives the horizon (``nan`` in CSV, ``null`` in JSON).  The aimd
+event log written by ``--log-out`` is pinned by its line count and sha256.
 """
 
 from __future__ import annotations
@@ -474,3 +475,14 @@ def test_cli_output_is_pinned(name, capsys, monkeypatch):
     code = main(list(case.argv))
     captured = capsys.readouterr()
     assert (code, pinned(captured.out), pinned(captured.err)) == (case.code, case.out, case.err)
+
+
+def test_aimd_event_log_is_pinned(tmp_path, capsys):
+    log = tmp_path / "events.csv"
+    assert main([*AIMD, "--log-out", str(log)]) == 0
+    assert capsys.readouterr().err == ""
+    data = log.read_bytes()
+    assert data.count(b"\n") == 3030
+    assert hashlib.sha256(data).hexdigest() == (
+        "00f8b1c74e76a986bb0b184b24138c258d2097e089aa178819f6bc7d0613c595"
+    )

@@ -302,18 +302,18 @@ class TestFifoDelay:
     def test_zero_backlog_zero_delay(self):
         trace = make_step_trace(1e8, 1e7, 1.0, 5.0)
         result = simulate_fluid(SimConfig(trace, OracleFinal(0.017)))
-        assert fifo_delay_at(result, trace, 0.5) == 0.0
+        assert fifo_delay_at(result, 0.5) == 0.0
 
     def test_constant_rate_drain(self):
         trace = CapacityTrace((Breakpoint(0.0, 1e7),), 2.0)
         result = simulate_fluid(SimConfig(trace, FixedRate(2e7)))
         # backlog at 0.5 s is 5e6 bits; at 10 Mbit/s that is half a second
-        assert fifo_delay_at(result, trace, 0.5) == pytest.approx(0.5, rel=1e-12)
+        assert fifo_delay_at(result, 0.5) == pytest.approx(0.5, rel=1e-12)
 
     def test_step_peak_equals_step_floor(self):
         trace = make_step_trace(1e8, 1e7, 1.0, 5.0)
         result = simulate_fluid(SimConfig(trace, OracleFinal(0.017)))
-        assert fifo_delay_at(result, trace, result.peak_time) == pytest.approx(
+        assert fifo_delay_at(result, result.peak_time) == pytest.approx(
             9 * 0.017, rel=1e-9
         )
         assert result.peak_fifo_delay == pytest.approx(9 * 0.017, rel=1e-9)
@@ -322,14 +322,14 @@ class TestFifoDelay:
     def test_beyond_horizon_is_none(self):
         trace = make_step_trace(1e8, 1e7, 1.0, 1.2)
         result = simulate_fluid(SimConfig(trace, OracleFinal(0.1)))
-        assert fifo_delay_at(result, trace, 1.1) is None
+        assert fifo_delay_at(result, 1.1) is None
 
     def test_drain_across_linear_segment(self):
         trace = make_ramp_trace(1e8, 1e7, 1.0, 0.5, 5.0)
         result = simulate_fluid(SimConfig(trace, OracleFinal(0.1)))
         t = 1.05
         b = result.backlog_at(t)
-        delta = fifo_delay_at(result, trace, t)
+        delta = fifo_delay_at(result, t)
         assert delta is not None
         assert trace.integrate(t, t + delta) == pytest.approx(b, rel=1e-9)
 

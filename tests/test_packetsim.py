@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from ccbound import packetsim
 from ccbound.bounds import peak_delay_step
 from ccbound.packetsim import (
     AimdParams,
@@ -105,6 +106,25 @@ class TestBasics:
         result = simulate_packets(saturated_step_config(12e6, 5.0, 0.02, seed=5))
         times = [e.t for e in result.log]
         assert times == sorted(times)
+
+
+class TestQueryCount:
+    def test_one_capacity_query_per_service_start(self, monkeypatch):
+        # deterministic cost check: one query per service start plus the
+        # initial pacing query, so no per-packet trace work creeps in
+        config = saturated_step_config(12e6, 5.0, 0.02, seed=3)
+        capacity_at = CapacityTrace.capacity_at
+        calls = 0
+
+        def counted(self, t):
+            nonlocal calls
+            calls += 1
+            return capacity_at(self, t)
+
+        monkeypatch.setattr(CapacityTrace, "capacity_at", counted)
+        result = simulate_packets(config)
+        assert result.packets_delivered > 0
+        assert calls <= result.packets_delivered + 2, (calls, result.packets_delivered)
 
 
 class TestSawtooth:
@@ -207,6 +227,18 @@ class TestValidation:
             PacketSimConfig(trace, forward_delay=-0.001)
         with pytest.raises(ValueError):
             PacketSimConfig(trace, initial_window=-1)
+
+    def test_packet_cap(self, monkeypatch):
+        config = saturated_step_config(12e6, 5.0, 0.02, seed=3)
+        sent = simulate_packets(config).packets_sent
+        monkeypatch.setattr(packetsim, "MAX_PACKETS", sent)
+        assert simulate_packets(config).packets_sent == sent
+        monkeypatch.setattr(packetsim, "MAX_PACKETS", sent - 1)
+        with pytest.raises(ValueError, match=f"send {sent} packets, over the cap of {sent - 1}"):
+            simulate_packets(config)
+        big_window = PacketSimConfig(config.trace, initial_window=sent)
+        with pytest.raises(ValueError, match=f"send {sent} packets"):
+            simulate_packets(big_window)
 
     def test_log_csv_header(self):
         result = simulate_packets(saturated_step_config(12e6, 5.0, 0.02, seed=3))
