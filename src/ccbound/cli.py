@@ -18,7 +18,7 @@ import io
 import json
 import math
 import sys
-from operator import attrgetter, truediv
+from operator import truediv
 
 from . import __version__
 from .bounds import peak_delay_ramp, peak_delay_step, reduction_factor, sweep
@@ -59,7 +59,6 @@ UNITS = {"time": "ms", "rate": "Mbit/s", "backlog": "bits"}
 _OUT_UNITS = (("_s", "_ms", MS), ("_bps", "_mbps", MBPS))
 
 _FLUID_SERIES = ("t_s", "backlog_bits", "delay_s", "fifo_delay_s")
-_fluid_row = attrgetter("t", "backlog", "delay_final_norm", "fifo_delay")
 _AIMD_SERIES = ("t_s", "queue_delay_s")
 _SWEEP_SERIES = ("c", "d", "d_ramp", "q_seconds")  # SI, no suffix: written as is
 
@@ -106,6 +105,12 @@ def _cli_name(key: str) -> tuple[str, float]:
     return key, 1.0
 
 
+def _cli_value(value, scale: float):
+    """A scalar in CLI units: a number divided by ``scale``; None, text and
+    unitless values as they are."""
+    return value if scale == 1.0 or value is None else value / scale
+
+
 def _cli_units(si: dict) -> dict:
     """An SI result dict in CLI units; nested dicts and lists of dicts too."""
     out = {}
@@ -115,8 +120,8 @@ def _cli_units(si: dict) -> dict:
             value = _cli_units(value)
         elif isinstance(value, list):
             value = [_cli_units(v) for v in value]
-        elif scale != 1.0 and value is not None:
-            value /= scale
+        else:
+            value = _cli_value(value, scale)
         out[name] = value
     return out
 
@@ -131,22 +136,16 @@ def _cell(value, scale: float):
     return value
 
 
-def _table_csv(columns: tuple[str, ...], rows: list[tuple]) -> str:
+def _csv(columns: tuple[str, ...], rows, cell) -> str:
+    """``rows`` (tuples in SI ``columns`` order) as CSV under the CLI column
+    names, each value written as ``cell(value, divisor)``; the csv module
+    writes floats with ``repr`` and None as an empty cell."""
     names, scales = zip(*map(_cli_name, columns))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(names)
-    writer.writerows(map(_cell, row, scales) for row in rows)
+    writer.writerows(map(cell, row, scales) for row in rows)
     return buf.getvalue()
-
-
-def _series_csv(columns: tuple[str, ...], rows) -> str:
-    """Series ``rows`` (tuples of floats in SI ``columns`` order) as CSV in
-    CLI units, every value written with ``repr``."""
-    names, scales = zip(*map(_cli_name, columns))
-    lines = [",".join(names)]
-    lines += [",".join(map(repr, map(truediv, row, scales))) for row in rows]
-    return "\n".join(lines) + "\n"
 
 
 def _write_run(args: argparse.Namespace, summary: dict, columns: tuple[str, ...], rows) -> int:
@@ -154,7 +153,7 @@ def _write_run(args: argparse.Namespace, summary: dict, columns: tuple[str, ...]
     ``columns`` order; None for a JSON run without a series) in CLI units."""
     summary = _cli_units(summary)
     if args.format == "csv":
-        _emit(_series_csv(columns, rows), args.out)
+        _emit(_csv(columns, rows, truediv), args.out)
         print(json.dumps({"summary": summary}, sort_keys=True), file=sys.stderr)
         return EXIT_OK
     results: dict = {"summary": summary}
@@ -196,16 +195,19 @@ def _scenario_params(pairs: list[str]) -> dict:
     return params
 
 
+def _read_text(path: str) -> str:
+    """The text of the file at ``path``, or of stdin for '-'."""
+    if path == "-":
+        return sys.stdin.read()
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
 def _load_trace(args: argparse.Namespace):
     if args.trace is not None and args.scenario is not None:
         raise ValueError("pass --trace or --scenario, not both")
     if args.trace is not None:
-        if args.trace == "-":
-            text = sys.stdin.read()
-        else:
-            with open(args.trace, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        return trace_from_csv(text)
+        return trace_from_csv(_read_text(args.trace))
     if args.scenario is not None:
         return scenario_trace(args.scenario, **_scenario_params(args.scenario_param or []))
     raise ValueError("need a trace source: --trace <csv path> or --scenario <name>")
@@ -235,12 +237,9 @@ def _cmd_bound(args: argparse.Namespace) -> int:
             "signal_delay_s": d,
             "ramp_duration_s": None if args.ramp_ms is None else args.ramp_ms * MS,
         }
-    if args.format == "csv":
-        ramp = "" if args.ramp_ms is None else repr(float(args.ramp_ms))
-        text = (
-            "c_factor,delay_ms,ramp_ms,q_ms,branch\n"
-            f"{c!r},{float(args.delay_ms)!r},{ramp},{results['q_ms']!r},{branch}\n"
-        )
+    if args.format == "csv":  # delay_ms and ramp_ms echo the flags
+        columns = ("c_factor", "delay_ms", "ramp_ms", "q_s", "branch")
+        text = _csv(columns, [(c, args.delay_ms, args.ramp_ms, q, branch)], _cli_value)
     else:
         text = _envelope("bound", args, results)
     _emit(text, args.out)
@@ -277,7 +276,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     sample_ms = args.sample_ms
     if args.format == "csv" and sample_ms is None:
         sample_ms = 10.0
-    rows = None if sample_ms is None else map(_fluid_row, sample_result(result, sample_ms * MS))
+    # an iterator: the samples are freed once the rows are built, before encoding
+    rows = None if sample_ms is None else iter(sample_result(result, sample_ms * MS))
     return _write_run(args, summary, _FLUID_SERIES, rows)
 
 
@@ -365,7 +365,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.format == "json":
         _emit(_envelope("sweep", args, dataclasses.asdict(grid)), args.out)
     else:
-        _emit(_series_csv(_SWEEP_SERIES, grid.rows()), args.out)
+        _emit(_csv(_SWEEP_SERIES, grid.rows(), truediv), args.out)
     return EXIT_OK
 
 
@@ -376,16 +376,10 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         return EXIT_OK
     if args.table:
         if args.table == "dublin-ny":
-            text = _table_csv(
-                ("label", "one_way_delay_s", "q_at_c10_s", "lower_bound"),
-                [(r.label, r.one_way_delay, r.q_at_c10, r.lower_bound) for r in dublin_ny_table()],
-            )
+            columns, rows = ("label", "one_way_delay_s", "q_at_c10_s", "lower_bound"), dublin_ny_table()
         else:  # wifi; argparse restricts the choices
-            text = _table_csv(
-                ("technology", "note", "rate_bps"),
-                [(r.technology, r.note, r.rate) for r in wifi_rates()],
-            )
-        _emit(text, args.out)
+            columns, rows = ("technology", "note", "rate_bps"), wifi_rates()
+        _emit(_csv(columns, rows, _cell), args.out)
         return EXIT_OK
     if args.emit:
         params = _scenario_params(args.scenario_param or [])
@@ -395,13 +389,8 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    if args.path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.path, "r", encoding="utf-8") as fh:
-            text = fh.read()
     horizon = None if args.horizon_ms is None else args.horizon_ms * MS
-    _emit(trace_to_csv(trace_from_csv(text, horizon=horizon)), args.out)
+    _emit(trace_to_csv(trace_from_csv(_read_text(args.path), horizon=horizon)), args.out)
     return EXIT_OK
 
 

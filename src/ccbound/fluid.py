@@ -13,6 +13,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import pairwise
+from typing import NamedTuple
 
 from .trace import (
     Breakpoint,
@@ -220,7 +221,6 @@ class FluidResult:
     final_norm_rate: float
     bits_in: float
     bits_out: float
-    sender_trace: CapacityTrace
     trace: CapacityTrace
     events: tuple[CapacityEvent, ...]
     horizon: float
@@ -373,7 +373,6 @@ def simulate_fluid(config: SimConfig) -> FluidResult:
         final_norm_rate=norm_rate,
         bits_in=arrival.integrate(0.0, h),
         bits_out=bits_out,
-        sender_trace=arrival,
         trace=trace,
         events=events,
         horizon=h,
@@ -393,10 +392,10 @@ def fifo_delay_at(result: FluidResult, t: float) -> float | None:
     return result.trace.drain_time(t, result.backlog_at(t))
 
 
-@dataclass(frozen=True)
-class FluidSample:
-    """One sampled point of the exact solution; fifo_delay is NaN when the
-    backlog at ``t`` cannot drain before the horizon."""
+class FluidSample(NamedTuple):
+    """One sampled point of the exact solution, fields in the CLI's column
+    order; fifo_delay is NaN when the backlog at ``t`` cannot drain before
+    the horizon."""
 
     t: float
     backlog: float

@@ -114,8 +114,9 @@ def simulate_packets(config: PacketSimConfig) -> PacketSimResult:
     A packet's service time is packet_size / capacity at its service start,
     held for the whole packet; the queue is work-conserving and FIFO.  A
     run whose queue never holds a waiting packet before the first capacity
-    reduction is flagged ``congestion_reached=False`` (the sender never
-    actually pressed against the link, so bound comparisons are vacuous).
+    reduction is flagged ``congestion_reached=False``: the sender never
+    actually pressed against the link, so bound comparisons are vacuous and
+    :func:`compare_to_bound` reports no violation for the run.
     A run that would send more than :data:`MAX_PACKETS` packets raises
     ValueError.
     """
@@ -231,7 +232,7 @@ class BoundComparison:
     measured_peak: float
     ratio: float | None  # measured / bound; None when the bound is 0
     slack: float
-    violation: bool  # measured < bound - slack
+    violation: bool  # congestion reached and measured < bound - slack
 
 
 def compare_to_bound(
@@ -245,7 +246,9 @@ def compare_to_bound(
 
     ``slack`` defaults to one packet serialization time at the event's
     final rate, the discretization a fluid model does not see.  A
-    measurement below bound - slack is flagged as a violation.
+    measurement below bound - slack is flagged as a violation only when
+    ``result.congestion_reached``; for a sender that never pressed against
+    the link the comparison is vacuous.
     """
     d = check_seconds(signal_delay, "signal_delay")
     post = [q for t, q in result.queue_delay_series if t >= event.onset]
@@ -259,7 +262,8 @@ def compare_to_bound(
     if slack is None:
         slack = result.config.packet_size / event.post_rate
     ratio = measured / bound if bound > 0.0 else None
-    return BoundComparison(bound, measured, ratio, slack, measured < bound - slack)
+    violation = result.congestion_reached and measured < bound - slack
+    return BoundComparison(bound, measured, ratio, slack, violation)
 
 
 def event_log_to_csv(result: PacketSimResult) -> str:

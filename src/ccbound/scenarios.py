@@ -9,8 +9,7 @@ the closed form, never stored, so it cannot drift from the formula.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .bounds import peak_delay_step
 from .trace import Breakpoint, CapacityTrace, make_ramp_trace, make_step_trace
@@ -26,8 +25,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WifiRateRow:
+class WifiRateRow(NamedTuple):
     technology: str
     note: str
     rate: float  # bit/s
@@ -49,8 +47,7 @@ def wifi_rates() -> list[WifiRateRow]:
     return [WifiRateRow(t, n, r) for t, n, r in _WIFI_ROWS]
 
 
-@dataclass(frozen=True)
-class PathDelayRow:
+class PathDelayRow(NamedTuple):
     label: str
     one_way_delay: float  # seconds
     q_at_c10: float  # seconds; computed, never a stored literal

@@ -309,41 +309,24 @@ def detect_events(trace: CapacityTrace) -> list[CapacityEvent]:
     the run length (0 for a pure step).  Increases and plateaus never
     produce events, and runs separated by a plateau stay separate events.
     """
-    # A "move" is one monotone piece of the capacity profile:
-    # (t_start, t_end, value before, value after); steps have zero width.
-    moves: list[tuple[float, float, float, float]] = []
+    events: list[CapacityEvent] = []
+    onset = end = None  # the open run falls from pre at onset to post at end
     bps = trace.breakpoints
     for a, b in zip(bps, bps[1:]):
         if b.rate == a.rate:
             continue
-        if a.mode is SegmentMode.HOLD:
-            moves.append((b.time, b.time, a.rate, b.rate))
-        else:
-            moves.append((a.time, b.time, a.rate, b.rate))
-
-    events: list[CapacityEvent] = []
-    run: list[float] | None = None
-
-    def flush() -> None:
-        nonlocal run
-        if run is not None:
-            events.append(
-                CapacityEvent(
-                    onset=run[0], pre_rate=run[2], post_rate=run[3], ramp_duration=run[1] - run[0]
-                )
-            )
-            run = None
-
-    for ts, te, vs, ve in moves:
-        if ve < vs:
-            if run is not None and ts == run[1]:
-                run[1], run[3] = te, ve
-            else:
-                flush()
-                run = [ts, te, vs, ve]
-        else:
-            flush()
-    flush()
+        # a hold segment drops at its right end, a linear one declines over it
+        start = b.time if a.mode is SegmentMode.HOLD else a.time
+        if b.rate < a.rate and start == end:  # continues the open run
+            end, post = b.time, b.rate
+            continue
+        if onset is not None:
+            events.append(CapacityEvent(onset, pre, post, end - onset))
+        onset = end = None
+        if b.rate < a.rate:
+            onset, pre, end, post = start, a.rate, b.time, b.rate
+    if onset is not None:
+        events.append(CapacityEvent(onset, pre, post, end - onset))
     return events
 
 
@@ -363,17 +346,19 @@ def trace_from_csv(text: str, horizon: float | None = None) -> CapacityTrace:
     """Parse ``time_s,rate_bps,mode`` rows (header optional) into a trace.
 
     The final row's time defines the horizon unless one is given
-    explicitly.  All errors are :class:`TraceParseError` and name the
-    offending line where one exists.
+    explicitly.  Malformed data raises :class:`TraceParseError`, which
+    names the 1-based line of the row at fault; an input without rows or a
+    horizon of 0 or before the last row names none.  A bad explicit
+    ``horizon`` raises a plain ValueError.
     """
-    rows: list[tuple[int, float, float, str]] = []
+    bps: list[Breakpoint] = []
     header_allowed = True
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
         fields = [f.strip() for f in line.split(",")]
-        if header_allowed and fields and fields[0].lower() in _HEADER_TOKENS:
+        if header_allowed and fields[0].lower() in _HEADER_TOKENS:
             header_allowed = False
             continue
         header_allowed = False
@@ -382,42 +367,30 @@ def trace_from_csv(text: str, horizon: float | None = None) -> CapacityTrace:
                 f"expected 3 comma-separated fields (time_s,rate_bps,mode), got {len(fields)}", line_no
             )
         try:
-            t = float(fields[0])
+            t, r = float(fields[0]), float(fields[1])
         except ValueError:
-            raise TraceParseError(f"malformed time {fields[0]!r}", line_no) from None
+            raise TraceParseError(f"malformed number in {line!r}", line_no) from None
         try:
-            r = float(fields[1])
-        except ValueError:
-            raise TraceParseError(f"malformed rate {fields[1]!r}", line_no) from None
-        mode = fields[2].lower()
-        if mode not in ("hold", "linear"):
-            raise TraceParseError(f"unknown mode {fields[2]!r} (expected 'hold' or 'linear')", line_no)
-        if not math.isfinite(t) or t < 0.0:
-            raise TraceParseError(f"time must be finite and >= 0, got {fields[0]}", line_no)
-        if not math.isfinite(r) or r <= 0.0:
-            raise TraceParseError(f"rate must be finite and > 0, got {fields[1]}", line_no)
-        if not rows and t != 0.0:
+            bp = Breakpoint(t, r, fields[2].lower())
+        except ValueError as exc:
+            raise TraceParseError(str(exc), line_no) from None
+        if not bps and t != 0.0:
             raise TraceParseError(f"first breakpoint must be at time 0, got {fields[0]}", line_no)
-        if rows and t <= rows[-1][1]:
+        if bps and t <= bps[-1].time:
             raise TraceParseError(
-                f"times must be strictly increasing, got {fields[0]} after {rows[-1][1]!r}", line_no
+                f"times must be strictly increasing, got {fields[0]} after {bps[-1].time!r}", line_no
             )
-        rows.append((line_no, t, r, mode))
-    if not rows:
+        bps.append(bp)
+        last_line = line_no
+    if not bps:
         raise TraceParseError("no data rows found")
-    if rows[-1][3] != "hold":
-        raise TraceParseError("last row must use mode 'hold'", rows[-1][0])
-    h = rows[-1][1] if horizon is None else check_seconds(horizon, "horizon")
-    if h < rows[-1][1]:
-        raise TraceParseError(
-            f"explicit horizon {h!r} lies before the last breakpoint at {rows[-1][1]!r}"
-        )
+    h = bps[-1].time if horizon is None else check_seconds(horizon, "horizon")
     try:
-        return CapacityTrace(
-            tuple(Breakpoint(t, r, SegmentMode(m)) for _, t, r, m in rows), h
-        )
+        return CapacityTrace(tuple(bps), h)
     except ValueError as exc:
-        raise TraceParseError(str(exc)) from None
+        # of the whole-trace rules, only "the last row holds" is about a row
+        row = last_line if bps[-1].mode is SegmentMode.LINEAR else None
+        raise TraceParseError(str(exc), row) from None
 
 
 def trace_to_csv(trace: CapacityTrace) -> str:

@@ -176,6 +176,18 @@ class TestSimulate:
         assert out == ""
         assert "cap of 10000" in err
 
+    def test_aimd_without_congestion_reports_no_violation(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "simulate", "--scenario", "wifi-step", "--controller", "aimd",
+            "--packet-bytes", "1e-6",
+        )
+        assert code == 0
+        summary = parse_envelope(out)["results"]["summary"]
+        comparison = summary["bound_comparison"]
+        assert summary["congestion_reached"] is False
+        assert comparison["measured_peak_ms"] < comparison["bound_ms"] - comparison["slack_ms"]
+        assert comparison["violation"] is False
+
     def test_aimd_dominates_oracle(self, capsys):
         code, out, _ = run_cli(
             capsys, "simulate", "--scenario", "ramp-contention",

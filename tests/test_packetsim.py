@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -177,6 +178,21 @@ class TestBoundComparison:
         rigged = compare_to_bound(result, event, 10.0)
         assert rigged.violation
         assert rigged.measured_peak == honest.measured_peak
+
+    def test_no_violation_without_congestion(self):
+        # 1e-6-byte packets never wait behind each other before the drop: the
+        # measured peak (~3e-11 s) lies far below the 153 ms floor, but the
+        # comparison is vacuous, so it is no violation
+        config = PacketSimConfig(make_step_trace(144.4e6, 14.4e6, 1.0, 5.0), packet_size=8e-6,
+                                 x_to_b_delay=0.0085, reverse_delay=0.0085)
+        result = simulate_packets(config)
+        assert not result.congestion_reached
+        event = detect_events(config.trace)[0]
+        cmp = compare_to_bound(result, event, 0.017)
+        assert cmp.measured_peak < cmp.bound - cmp.slack
+        assert not cmp.violation
+        pressed = dataclasses.replace(result, congestion_reached=True)
+        assert compare_to_bound(pressed, event, 0.017).violation
 
     def test_zero_bound_never_violates(self):
         config = saturated_step_config(12e6, 10.0, 0.02, seed=9)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ccbound.cli import main
 from ccbound.trace import (
     Breakpoint,
     CapacityTrace,
@@ -71,6 +72,36 @@ def walk_drain(trace, t, bits):
         bits -= chunk
         cur = end
     return None
+
+
+def reference_events(trace):
+    """Reference reduction events read off the capacity values alone.
+
+    The profile is cut into pieces: the jump at each breakpoint (left limit
+    to value, zero width) and the straight piece from each breakpoint to
+    the next.  A zero-width piece without change is no piece at all; a run
+    is a maximal sequence of adjacent strictly decreasing pieces, so flat
+    pieces of positive width and increases end it.  Returns (onset,
+    pre_rate, post_rate, ramp_duration) per run.
+    """
+    times = trace.times
+    pieces = []
+    for i, t in enumerate(times):
+        if i:
+            pieces.append((t, t, trace.left_limit_at(t), trace.capacity_at(t)))
+        if i + 1 < len(times):
+            nxt = times[i + 1]
+            pieces.append((t, nxt, trace.capacity_at(t), trace.left_limit_at(nxt)))
+    runs, extending = [], False
+    for start, end, v0, v1 in pieces:
+        if start == end and v0 == v1:
+            continue
+        if v1 < v0 and extending:
+            runs[-1][2:] = [end, v1]
+        elif v1 < v0:
+            runs.append([start, v0, end, v1])
+        extending = v1 < v0
+    return [(onset, pre, post, end - onset) for onset, pre, end, post in runs]
 
 
 class TestConstruction:
@@ -322,6 +353,12 @@ class TestDetectEvents:
         assert len(events) == 1
         assert events[0].ramp_duration == pytest.approx(0.5, rel=1e-12)
 
+    @given(traces())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_value_reference(self, trace):
+        got = [(e.onset, e.pre_rate, e.post_rate, e.ramp_duration) for e in detect_events(trace)]
+        assert got == reference_events(trace)
+
     @given(
         st.floats(min_value=1.01, max_value=1000.0),
         st.floats(min_value=1e4, max_value=1e9),
@@ -341,6 +378,62 @@ class TestDetectEvents:
         assert ev.post_rate == post
         assert math.isclose(ev.ramp_duration, ramp, rel_tol=1e-12, abs_tol=1e-15)
         assert math.isclose(ev.c_factor, c, rel_tol=1e-12)
+
+
+# One fault per case: (CSV text, explicit horizon in seconds, the line
+# the error names; None for an error about the whole trace).
+PARSE_ERRORS = {
+    "nan_time": ("0,1e8,hold\nnan,1e7,hold\n", None, 2),
+    "inf_time": ("0,1e8,hold\ninf,1e7,hold\n", None, 2),
+    "negative_time": ("0,1e8,hold\n-1,1e7,hold\n", None, 2),
+    "negative_first_time": ("-1,1e8,hold\n", None, 1),
+    "zero_rate": ("0,1e8,hold\n1,0,hold\n", None, 2),
+    "negative_rate": ("0,1e8,hold\n\n1,-5,hold\n", None, 3),
+    "inf_rate": ("time_s,rate_bps,mode\n0,inf,hold\n", None, 2),
+    "nan_rate": ("0,1e8,hold\n1,nan,hold\n", None, 2),
+    "unknown_mode": ("0,1e8,hold\n1,1e7,step\n", None, 2),
+    "two_fields": ("0,1e8,hold\n1,1e7\n", None, 2),
+    "four_fields": ("0,1e8,hold,x\n", None, 1),
+    "malformed_time": ("0,1e8,hold\n1s,1e7,hold\n", None, 2),
+    "malformed_rate": ("0,abc,hold\n", None, 1),
+    "second_header": ("time_s,rate_bps,mode\ntime_s,rate_bps,mode\n0,1e8,hold\n", None, 2),
+    "first_row_not_at_zero": ("\n1,1e8,hold\n2,1e7,hold\n", None, 2),
+    "equal_times": ("0,1e8,hold\n2,5e7,hold\n2,1e7,hold\n", None, 3),
+    "decreasing_times": ("0,1e8,hold\n2,5e7,hold\n1,1e7,hold\n", None, 3),
+    "last_row_linear": ("0,1e8,hold\n1,1e7,linear\n\n", None, 2),
+    "horizon_before_last_row": ("0,1e8,hold\n2,1e7,hold\n", 1.0, None),
+    "zero_horizon": ("0,1e8,hold\n2,1e7,hold\n", 0.0, None),
+    "single_row_no_horizon": ("0,1e8,hold\n", None, None),
+    "header_only": ("time_s,rate_bps,mode\n", None, None),
+}
+
+
+@pytest.mark.parametrize("text, horizon, line", PARSE_ERRORS.values(), ids=PARSE_ERRORS)
+def test_parse_error_names_its_line(text, horizon, line, tmp_path, capsys):
+    with pytest.raises(TraceParseError) as info:
+        trace_from_csv(text, horizon=horizon)
+    assert info.value.line_no == line
+    prefix = f"error: line {line}: " if line is not None else "error: "
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    horizon_flag = [] if horizon is None else ["--horizon-ms", repr(horizon * 1e3)]
+    assert main(["ingest", str(path), *horizon_flag]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and (line is not None or "line" not in err)
+    if horizon is None:
+        assert main(["simulate", "--trace", str(path), "--controller", "fixed:10"]) == 3
+        assert capsys.readouterr().err.startswith(prefix)
+
+
+@pytest.mark.parametrize("horizon", [math.nan, math.inf, -1.0])
+def test_bad_explicit_horizon_is_a_usage_error(horizon, tmp_path, capsys):
+    # the horizon is an argument, not a row: plain ValueError, CLI exit 2
+    with pytest.raises(ValueError, match="horizon") as info:
+        trace_from_csv("0,1e8,hold\n1,1e7,hold\n", horizon=horizon)
+    assert not isinstance(info.value, TraceParseError)
+    path = tmp_path / "ok.csv"
+    path.write_text("0,1e8,hold\n1,1e7,hold\n")
+    assert main(["ingest", str(path), "--horizon-ms", repr(horizon)]) == 2
 
 
 class TestCsv:
