@@ -18,6 +18,7 @@ import io
 import json
 import math
 import sys
+from itertools import repeat
 from operator import truediv
 
 from . import __version__
@@ -61,6 +62,9 @@ _OUT_UNITS = (("_s", "_ms", MS), ("_bps", "_mbps", MBPS))
 _FLUID_SERIES = ("t_s", "backlog_bits", "delay_s", "fifo_delay_s")
 _AIMD_SERIES = ("t_s", "queue_delay_s")
 _SWEEP_SERIES = ("c", "d", "d_ramp", "q_seconds")  # SI, no suffix: written as is
+
+# How json spells the floats whose repr it does not use; NaN in a series is null.
+_JSON_NON_FINITE = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
 
 # CLI-side scenario parameter names (boundary units) -> library kwargs (SI).
 _SCENARIO_KEY_MAP = {
@@ -148,22 +152,49 @@ def _csv(columns: tuple[str, ...], rows, cell) -> str:
     return buf.getvalue()
 
 
+def _json_series(columns: tuple[str, ...], rows) -> str:
+    """``rows`` (tuples in SI ``columns`` order) as the list that
+    ``json.dumps(indent=2, sort_keys=True)`` writes at ``results.series``:
+    one object per row, keys in CLI units and sorted, each value its
+    ``repr`` (json's spelling of a float) and NaN as null."""
+    names, scales = zip(*map(_cli_name, columns))
+    values = list(zip(*rows))  # one tuple per column
+    if not values:
+        return "[]"
+    order = sorted(range(len(names)), key=names.__getitem__)
+    # the list sits at depth 2 of the envelope: rows at 6 spaces, keys at 8
+    item = "      {\n" + ",\n".join(f"        {json.dumps(names[k])}: %s" for k in order) + "\n      }"
+    cells = []
+    for k in order:
+        text = list(map(repr, map(truediv, values[k], repeat(scales[k]))))
+        cells.append(map(_JSON_NON_FINITE.get, text, text))
+    return "[\n" + ",\n".join(map(item.__mod__, zip(*cells))) + "\n    ]"
+
+
 def _write_run(args: argparse.Namespace, summary: dict, columns: tuple[str, ...], rows) -> int:
     """Write a simulate run's SI summary and series ``rows`` (tuples in
-    ``columns`` order; None for a JSON run without a series) in CLI units."""
+    ``columns`` order; None for a JSON run without a series) in CLI units.
+
+    The JSON text is byte for byte ``json.dumps(doc, indent=2,
+    sort_keys=True) + "\n"`` of the envelope whose ``results.series`` holds
+    one dict per row (NaN as None), but no dict is built: the envelope is
+    encoded around a placeholder, and the rows are formatted straight from
+    the tuples by :func:`_json_series` and spliced in its place.
+    """
     summary = _cli_units(summary)
     if args.format == "csv":
         _emit(_csv(columns, rows, truediv), args.out)
         print(json.dumps({"summary": summary}, sort_keys=True), file=sys.stderr)
         return EXIT_OK
     results: dict = {"summary": summary}
-    if rows is not None:
-        names, scales = zip(*map(_cli_name, columns))
-        results["series"] = [
-            {n: None if v != v else v for n, v in zip(names, map(truediv, row, scales))}
-            for row in rows
-        ]
-    _emit(_envelope("simulate", args, results), args.out)
+    if rows is None:
+        _emit(_envelope("simulate", args, results), args.out)
+        return EXIT_OK
+    results["series"] = "rows"
+    # Within an encoded string every quote is escaped, so this token can only
+    # be the series entry itself, whatever text a flag echo carries.
+    head, _, tail = _envelope("simulate", args, results).partition('"series": "rows"')
+    _emit(head + '"series": ' + _json_series(columns, rows) + tail, args.out)
     return EXIT_OK
 
 
@@ -276,7 +307,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     sample_ms = args.sample_ms
     if args.format == "csv" and sample_ms is None:
         sample_ms = 10.0
-    # an iterator: the samples are freed once the rows are built, before encoding
+    # an iterator, so the writer holds the only reference to the samples
     rows = None if sample_ms is None else iter(sample_result(result, sample_ms * MS))
     return _write_run(args, summary, _FLUID_SERIES, rows)
 

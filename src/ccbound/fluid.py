@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import pairwise
 from typing import NamedTuple
@@ -124,9 +125,13 @@ class SimConfig:
                     )
 
 
-def _oracle_final_trace(trace: CapacityTrace, delay: float, horizon: float) -> CapacityTrace:
+def _oracle_final_trace(
+    trace: CapacityTrace, events: Iterable[CapacityEvent], delay: float, horizon: float
+) -> CapacityTrace:
+    """The final rate of each of ``events`` (the trace's reductions), held
+    from its onset plus ``delay``."""
     bps = [Breakpoint(0.0, trace.capacity_at(0.0))]
-    for ev in detect_events(trace):
+    for ev in events:
         t = ev.onset + delay
         if t >= horizon:
             break
@@ -145,6 +150,13 @@ def _shifted_trace(trace: CapacityTrace, delay: float, horizon: float) -> Capaci
     truncated = False
     for bp in trace.breakpoints:
         t = bp.time + delay
+        if bps and t <= bps[-1].time:
+            # the shift rounded a segment of a few ulp away: a hold that short
+            # vanishes, but a ramp must still end on the rate it ramps toward
+            if len(bps) > 1 and bps[-2].mode is SegmentMode.LINEAR:
+                t = math.nextafter(bps[-1].time, math.inf)
+            else:
+                t = bps.pop().time
         if t > horizon:
             truncated = True
             break
@@ -158,14 +170,21 @@ def _shifted_trace(trace: CapacityTrace, delay: float, horizon: float) -> Capaci
     return CapacityTrace(tuple(bps), horizon)
 
 
-def sender_rate_trace(config: SimConfig) -> CapacityTrace:
-    """The sender's transmit rate as a piecewise-linear trace on [0, horizon]."""
+def _sender_trace(config: SimConfig, events: Iterable[CapacityEvent]) -> CapacityTrace:
+    """:func:`sender_rate_trace` given the trace's reduction events."""
     assert config.horizon is not None
     if isinstance(config.controller, FixedRate):
         return CapacityTrace((Breakpoint(0.0, config.controller.rate),), config.horizon)
     if isinstance(config.controller, OracleFinal):
-        return _oracle_final_trace(config.trace, config.controller.signal_delay, config.horizon)
+        return _oracle_final_trace(
+            config.trace, events, config.controller.signal_delay, config.horizon
+        )
     return _shifted_trace(config.trace, config.controller.signal_delay, config.horizon)
+
+
+def sender_rate_trace(config: SimConfig) -> CapacityTrace:
+    """The sender's transmit rate as a piecewise-linear trace on [0, horizon]."""
+    return _sender_trace(config, detect_events(config.trace))
 
 
 @dataclass(frozen=True)
@@ -271,7 +290,8 @@ def simulate_fluid(config: SimConfig) -> FluidResult:
     trace = config.trace
     h = config.horizon
     assert h is not None
-    arrival = sender_rate_trace(config)
+    events = tuple(detect_events(trace))
+    arrival = _sender_trace(config, events)
 
     cuts = {0.0, h}
     for src in (trace, arrival):
@@ -333,7 +353,6 @@ def simulate_fluid(config: SimConfig) -> FluidResult:
         if val > peak_b:
             peak_b, peak_t = val, at
 
-    events = tuple(detect_events(trace))
     norm_rate: float | None = None
     for ev in events:
         if ev.onset <= peak_t:
@@ -356,8 +375,7 @@ def simulate_fluid(config: SimConfig) -> FluidResult:
             if 0.0 < dtv < seg.t_end - seg.t_start:
                 candidates.append((seg.t_start + dtv, seg.value_at(seg.t_start + dtv)))
     candidates.append((h, segs[-1].value_at(h)))
-    for t_cand, b_cand in candidates:
-        delta = trace.drain_time(t_cand, b_cand)
+    for delta in trace.drain_times(candidates):  # candidates ascend in t
         if delta is None:
             fifo_censored = True
         elif delta > peak_fifo:
@@ -387,7 +405,8 @@ def fifo_delay_at(result: FluidResult, t: float) -> float | None:
     capacity curve C at the backlog b(t): the smallest delta >= 0 with the
     capacity integral over [t, t + delta] covering b(t), answered by
     :meth:`CapacityTrace.drain_time` in O(log n).  None when the backlog
-    cannot drain before the horizon.
+    cannot drain before the horizon.  :func:`sample_result` gives the same
+    value for every instant of a grid in one sweep.
     """
     return result.trace.drain_time(t, result.backlog_at(t))
 
@@ -406,38 +425,46 @@ class FluidSample(NamedTuple):
 def sample_result(result: FluidResult, step: float) -> list[FluidSample]:
     """Sample the exact solution every ``step`` seconds from 0 to horizon.
 
-    Sampling is presentation only: peak statistics come from the segments,
-    so a sampled maximum can only undershoot ``result.peak_backlog``.
-    A step that would yield more than :data:`MAX_SAMPLES` rows raises
-    ValueError.
+    Each sample holds ``backlog_at(t)``, that over ``final_norm_rate`` and
+    ``fifo_delay_at(t)`` (NaN for None), bit for bit, from one forward
+    sweep: the instants ascend, so a cursor over the backlog segments
+    stands in for ``backlog_at``'s bisection, and
+    :meth:`CapacityTrace.drain_times` answers the FIFO waits with
+    bisections that start where the previous sample's landed and without
+    the per-query checks.  Sampling is presentation only:
+    peak statistics come from the segments, so a sampled maximum can only
+    undershoot ``result.peak_backlog``.  A step that would yield more than
+    :data:`MAX_SAMPLES` rows raises ValueError.
     """
     step = float(step)
     if not (math.isfinite(step) and step > 0.0):
         raise ValueError(f"step must be a finite value > 0 seconds, got {step!r}")
-    count = result.horizon / step + 1.0  # inf when the quotient overflows
+    h = result.horizon
+    count = h / step + 1.0  # inf when the quotient overflows
     if not count <= MAX_SAMPLES:
         raise ValueError(
-            f"sampling {result.horizon!r} s every {step!r} s takes {count:.6g} rows, "
+            f"sampling {h!r} s every {step!r} s takes {count:.6g} rows, "
             f"over the cap of {MAX_SAMPLES}"
         )
-    samples: list[FluidSample] = []
+    ts: list[float] = []
     k = 0
-    while True:
-        t = k * step
-        if t > result.horizon:
-            if t - result.horizon < step * 1e-9:  # last grid point == horizon
-                t = result.horizon
-            else:
-                break
-        b = result.backlog_at(t)
-        fifo = result.trace.drain_time(t, b)
-        samples.append(
-            FluidSample(t, b, b / result.final_norm_rate, math.nan if fifo is None else fifo)
-        )
-        if t == result.horizon:
-            break
+    while (t := k * step) <= h:
+        ts.append(t)
         k += 1
-    return samples
+    if ts[-1] != h and t - h < step * 1e-9:  # the next grid point is the horizon
+        ts.append(h)
+    segs, starts = result.segments, result._starts  # type: ignore[attr-defined]
+    last = len(segs) - 1
+    s = 0
+    backlogs: list[float] = []
+    for t in ts:
+        while s < last and starts[s + 1] <= t:
+            s += 1
+        backlogs.append(segs[s].value_at(t))
+    norm = result.final_norm_rate
+    delays = [b / norm for b in backlogs]
+    fifos = [math.nan if f is None else f for f in result.trace.drain_times(zip(ts, backlogs))]
+    return list(map(FluidSample._make, zip(ts, backlogs, delays, fifos)))
 
 
 def result_to_json_dict(result: FluidResult) -> dict:

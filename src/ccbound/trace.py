@@ -9,6 +9,7 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_right
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 __all__ = [
@@ -116,7 +117,8 @@ class CapacityTrace:
         # to breakpoint i; the extra last entry is C(horizon).
         cum = [0.0]
         for i in range(len(bps)):
-            cum.append(cum[-1] + self._area(i, bps[i].time, self._end(i)))
+            seg = self._segment(i)
+            cum.append(cum[-1] + _area(seg, seg[0], seg[1]))
         object.__setattr__(self, "_cum", tuple(cum))
 
     @property
@@ -127,23 +129,16 @@ class CapacityTrace:
     def _index_at(self, t: float) -> int:
         return bisect_right(self._times, t) - 1  # type: ignore[attr-defined]
 
-    def _end(self, i: int) -> float:
-        """Right end of segment ``i``: the next breakpoint or the horizon."""
-        return self._times[i + 1] if i + 1 < len(self._times) else self.horizon  # type: ignore[attr-defined]
-
-    def _rate_slope(self, i: int) -> tuple[float, float]:
-        """Capacity at breakpoint ``i`` and its slope over segment ``i``."""
+    def _segment(self, i: int) -> tuple[float, float, float, float]:
+        """Segment ``i`` as (start, end, rate at start, slope); it ends at
+        the next breakpoint or at the horizon."""
         bp = self.breakpoints[i]
-        if bp.mode is SegmentMode.LINEAR:  # never the last breakpoint
-            nxt = self.breakpoints[i + 1]
-            return bp.rate, (nxt.rate - bp.rate) / (nxt.time - bp.time)
-        return bp.rate, 0.0
-
-    def _area(self, i: int, a: float, b: float) -> float:
-        """Bits served over [a, b] inside segment ``i``: rectangle or trapezoid."""
-        rate, slope = self._rate_slope(i)
-        t_i = self._times[i]  # type: ignore[attr-defined]
-        return (b - a) * (rate + 0.5 * slope * ((a - t_i) + (b - t_i)))
+        if i + 1 == len(self.breakpoints):
+            return bp.time, self.horizon, bp.rate, 0.0
+        nxt = self.breakpoints[i + 1]
+        if bp.mode is SegmentMode.LINEAR:
+            return bp.time, nxt.time, bp.rate, (nxt.rate - bp.rate) / (nxt.time - bp.time)
+        return bp.time, nxt.time, bp.rate, 0.0
 
     def capacity_at(self, t: float) -> float:
         """Exact capacity at ``t`` in [0, horizon]; right-continuous at holds."""
@@ -193,14 +188,12 @@ class CapacityTrace:
                 f"integration interval [{t0!r}, {t1!r}] invalid for domain [0, {self.horizon!r}]"
             )
         i, j = self._index_at(t0), self._index_at(t1)
+        first = self._segment(i)
         if i == j:
-            return self._area(i, t0, t1)
+            return _area(first, t0, t1)
+        last = self._segment(j)
         cum = self._cum  # type: ignore[attr-defined]
-        return (
-            self._area(i, t0, self._times[i + 1])  # type: ignore[attr-defined]
-            + (cum[j] - cum[i + 1])
-            + self._area(j, self._times[j], t1)  # type: ignore[attr-defined]
-        )
+        return _area(first, t0, first[1]) + (cum[j] - cum[i + 1]) + _area(last, last[0], t1)
 
     def drain_time(self, t: float, bits: float) -> float | None:
         """Smallest delta >= 0 with ``integrate(t, t + delta) >= bits``: the
@@ -218,20 +211,69 @@ class CapacityTrace:
             return 0.0
         cum = self._cum  # type: ignore[attr-defined]
         i = self._index_at(t)
-        start, rest = t, bits
-        head = self._area(i, t, self._end(i))
-        if bits > head:
-            # C(t) + bits, counted from the end of t's own segment
+        seg = self._segment(i)
+        head = _area(seg, t, seg[1])
+        if bits <= head:
+            return _drain_end(seg, t, bits) - t
+        # C(t) + bits, counted from the end of t's own segment
+        target = cum[i + 1] + (bits - head)
+        if target > cum[-1]:
+            return None
+        # the last breakpoint at or before the drain instant
+        j = bisect_right(cum, target, i + 1, len(self.breakpoints)) - 1
+        seg = self._segment(j)
+        return _drain_end(seg, seg[0], target - cum[j]) - t
+
+    def drain_times(self, queries: Iterable[tuple[float, float]]) -> Iterator[float | None]:
+        """:meth:`drain_time` of each ``(t, bits)`` query in turn, bit for bit.
+
+        The same two bisections find t's segment and the drain segment, but
+        each starts from where the previous query's landed whenever that is
+        at or before the new answer, so both land exactly where
+        :meth:`drain_time`'s do, whatever the order of the queries.  When
+        ``t`` and the drain instant C^-1(C(t) + bits) do not decrease, as
+        along one backlog trajectory, each search covers only the segments
+        passed since the previous query.  Queries are not validated: ``t``
+        lies in [0, horizon] and ``bits`` is a number.
+        """
+        times, cum = self._times, self._cum  # type: ignore[attr-defined]
+        n = len(times)
+        i = j = 0
+        seg_i = seg_j = self._segment(0)
+        for t, bits in queries:
+            if bits <= 0.0:
+                yield 0.0
+                continue
+            k = bisect_right(times, t, i if times[i] <= t else 0) - 1
+            if k != i:
+                i, seg_i = k, self._segment(k)
+            head = _area(seg_i, t, seg_i[1])
+            if bits <= head:
+                yield _drain_end(seg_i, t, bits) - t
+                continue
             target = cum[i + 1] + (bits - head)
             if target > cum[-1]:
-                return None
-            # the last breakpoint at or before the drain instant
-            i = bisect_right(cum, target, i + 1, len(self.breakpoints)) - 1
-            start, rest = self._times[i], target - cum[i]  # type: ignore[attr-defined]
-        rate, slope = self._rate_slope(i)
-        v0 = rate + slope * (start - self._times[i])  # type: ignore[attr-defined]
-        x = 2.0 * rest / (v0 + math.sqrt(max(0.0, v0 * v0 + 2.0 * slope * rest)))
-        return min(start + x, self._end(i)) - t
+                yield None
+                continue
+            k = bisect_right(cum, target, j if i < j and cum[j] <= target else i + 1, n) - 1
+            if k != j:
+                j, seg_j = k, self._segment(k)
+            yield _drain_end(seg_j, seg_j[0], target - cum[j]) - t
+
+def _area(seg: tuple[float, float, float, float], a: float, b: float) -> float:
+    """Bits served over [a, b] inside segment ``seg`` = (start, end, rate,
+    slope): a rectangle or a trapezoid."""
+    start, _, rate, slope = seg
+    return (b - a) * (rate + 0.5 * slope * ((a - start) + (b - start)))
+
+
+def _drain_end(seg: tuple[float, float, float, float], start: float, rest: float) -> float:
+    """The instant segment ``seg`` has served ``rest`` bits counted from
+    ``start``: one stable quadratic root, clamped to the segment's end."""
+    t_i, end, rate, slope = seg
+    v0 = rate + slope * (start - t_i)
+    x = 2.0 * rest / (v0 + math.sqrt(max(0.0, v0 * v0 + 2.0 * slope * rest)))
+    return min(start + x, end)
 
 
 @dataclass(frozen=True)

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import json
+import math
 import time
 
 import pytest
 
+from ccbound import __version__, cli
 from ccbound.bounds import peak_delay_ramp, peak_delay_step
 from ccbound.cli import main
 from ccbound.trace import trace_from_csv
@@ -252,6 +255,73 @@ class TestSimulate:
         )
         assert code == 2
         assert "delay-ms" in err
+
+
+def dumps_again(out: str) -> str:
+    """The text json.dumps writes for the document that ``out`` parses to."""
+    return json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+class TestJsonSeries:
+    """The JSON series is spliced into the envelope from the row tuples; the
+    text must still be json.dumps(indent=2, sort_keys=True) byte for byte."""
+
+    DROP_CSV = "0,1e7,hold\n0.2,1e6,hold\n0.5,1e6,hold\n"
+
+    @pytest.mark.parametrize(
+        "trace_csv,argv,keys,rows",
+        [
+            # the plateau after the step outlives the horizon: null FIFO rows
+            (STEP_CSV, ("oracle-final", "--delay-ms", "17"),
+             {"t_ms", "backlog_bits", "delay_ms", "fifo_delay_ms"}, 21),
+            (DROP_CSV, ("aimd",), {"t_ms", "queue_delay_ms"}, None),
+            # the horizon ends before the first packet reaches the link
+            ("0,1e8,hold\n0.001,1e8,hold\n", ("aimd",), set(), 0),
+        ],
+        ids=["fluid-null-fifo", "aimd", "aimd-empty"],
+    )
+    def test_equals_json_dumps(self, capsys, tmp_path, trace_csv, argv, keys, rows):
+        path = tmp_path / "trace.csv"
+        path.write_text(trace_csv)
+        code, out, _ = run_cli(
+            capsys, "simulate", "--trace", str(path), "--controller", *argv, "--sample-ms", "250"
+        )
+        assert code == 0
+        assert out == dumps_again(out)
+        series = parse_envelope(out)["results"]["series"]
+        assert rows is None and len(series) > 1 or len(series) == rows
+        assert all(set(row) == keys for row in series)
+        if "fifo_delay_ms" in keys:
+            assert series[-1]["fifo_delay_ms"] is None
+
+    def test_trace_path_with_quotes_escapes_and_the_placeholder(self, capsys, tmp_path):
+        path = tmp_path / 'tr"ace\\ \u00fc\u2013 "series": "rows".csv'
+        path.write_text(STEP_CSV)
+        code, out, _ = run_cli(
+            capsys, "simulate", "--trace", str(path), "--controller", "oracle-final",
+            "--delay-ms", "17", "--sample-ms", "1000",
+        )
+        assert code == 0
+        assert out == dumps_again(out)
+        doc = parse_envelope(out)
+        assert doc["params"]["trace"] == str(path)
+        assert len(doc["results"]["series"]) == 6
+
+    def test_values_json_spells_differently_or_rarely(self, capsys):
+        columns = ("a_bits", "b_bits")  # no unit suffix: written as they are
+        values = (-0.0, 5e-324, 1e16, 1e-7, math.nan, math.inf, -math.inf, 1.5)
+        rows = list(zip(values[0::2], values[1::2]))
+        args = argparse.Namespace(format="json", out=None, trace="t.csv")
+        assert cli._write_run(args, {}, columns, iter(rows)) == 0
+        series = [{k: None if v != v else v for k, v in zip(columns, row)} for row in rows]
+        doc = {
+            "command": "simulate",
+            "params": {"trace": "t.csv"},
+            "results": {"series": series, "summary": {}},
+            "units": cli.UNITS,
+            "version": __version__,
+        }
+        assert capsys.readouterr().out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 class TestSweep:

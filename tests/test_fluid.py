@@ -10,8 +10,9 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_trace import close_traces
 
 from ccbound import fluid
 from ccbound.bounds import peak_delay_ramp, peak_delay_step
@@ -31,6 +32,7 @@ from ccbound.fluid import (
 from ccbound.trace import (
     Breakpoint,
     CapacityTrace,
+    SegmentMode,
     make_ramp_trace,
     make_step_trace,
     trace_to_csv,
@@ -91,6 +93,57 @@ class TestSenderRate:
         assert rate(0.1) == 1e8  # before anything happened
         assert rate(1.45) == trace.capacity_at(1.2)
         assert rate(1.0) == trace.capacity_at(0.75)
+
+    def test_tracking_merges_breakpoints_the_shift_rounds_together(self):
+        # 0.01 and the float below it both land on 1.01 after a 1 s shift;
+        # the one-ulp segment between them vanishes, the later rate holds
+        below = math.nextafter(0.01, 0.0)
+        trace = CapacityTrace(
+            (Breakpoint(0.0, 1e8), Breakpoint(below, 5e7), Breakpoint(0.01, 2e7)), 2.0
+        )
+        config = SimConfig(trace, OracleTracking(1.0))
+        shifted = sender_rate_trace(config)
+        assert shifted.times == (0.0, 1.0, 1.01)
+        assert (shifted.left_limit_at(1.01), shifted.capacity_at(1.01)) == (1e8, 2e7)
+        assert simulate_fluid(config).peak_backlog > 0.0  # the sender lags a falling link
+
+    def test_tracking_keeps_a_ramp_the_shift_rounds_onto_a_hold(self):
+        # the ramp toward 1e6 ends one ulp before the step to 5e7; after a
+        # 1 s shift both land on 1.01, and the ramp must still end at 1e6
+        below = math.nextafter(0.01, 0.0)
+        trace = CapacityTrace(
+            (
+                Breakpoint(0.0, 1e8, SegmentMode.LINEAR),
+                Breakpoint(below, 1e6),
+                Breakpoint(0.01, 5e7),
+            ),
+            2.0,
+        )
+        shifted = sender_rate_trace(SimConfig(trace, OracleTracking(1.0)))
+        after = math.nextafter(1.01, math.inf)
+        assert shifted.times == (0.0, 1.0, 1.01, after)
+        assert shifted.left_limit_at(1.01) == trace.left_limit_at(below) == 1e6
+        assert shifted.capacity_at(after) == trace.capacity_at(0.01) == 5e7
+        assert shifted.capacity_at(1.005) == pytest.approx(trace.capacity_at(0.005))
+        assert shifted.integrate(1.0, 1.5) == pytest.approx(trace.integrate(0.0, 0.5))
+
+    @given(trace=close_traces(), share=st.floats(0.0, 0.9))
+    @settings(max_examples=300, deadline=None)
+    def test_tracking_is_the_shifted_capacity(self, trace, share):
+        # c(t - d) at the middle of every segment that the shift's rounding
+        # (an ulp or two at the scale of t) cannot visibly move; a delay
+        # much longer than the first breakpoints rounds close ones together
+        h = trace.horizon
+        delay = share * h
+        shifted = sender_rate_trace(SimConfig(trace, OracleTracking(delay)))
+        top = max(bp.rate for bp in trace.breakpoints)
+        ends = (*trace.times[1:], h)
+        for a, b in zip(trace.times, ends):
+            mid = 0.5 * (a + b)
+            if b - a >= 1e-8 * (h + delay) and mid + delay < h:
+                assert shifted.capacity_at(mid + delay) == pytest.approx(
+                    trace.capacity_at(mid), rel=0.0, abs=1e-6 * top
+                )
 
     def test_fixed_rate_constant(self):
         trace = make_step_trace(1e8, 1e7, 1.0, 5.0)
@@ -421,6 +474,86 @@ class TestSampling:
         monkeypatch.setattr(fluid, "MAX_SAMPLES", 10)
         with pytest.raises(ValueError, match="11 rows, over the cap of 10"):
             sample_result(result, 0.5)
+
+
+def sample_instants(horizon, step):
+    """The sampling grid: every multiple of ``step`` up to the horizon, then
+    the horizon itself when the next multiple passes it by rounding only."""
+    ts, k = [], 0
+    while k * step <= horizon:
+        ts.append(k * step)
+        k += 1
+    if ts[-1] != horizon and k * step - horizon < step * 1e-9:
+        ts.append(horizon)
+    return ts
+
+
+def assert_samples_match_queries(result, step):
+    """Every sample equals the single queries it stands for, bit for bit:
+    float.hex matches NaN to NaN and tells -0.0 from 0.0."""
+    samples = sample_result(result, step)
+    assert [s.t for s in samples] == sample_instants(result.horizon, step)
+    for s in samples:
+        b = result.backlog_at(s.t)
+        fifo = fifo_delay_at(result, s.t)
+        expected = (s.t, b, b / result.final_norm_rate, math.nan if fifo is None else fifo)
+        assert tuple(map(float.hex, s)) == tuple(map(float.hex, expected)), (s, expected)
+    return samples
+
+
+class TestSamplingDifferential:
+    """sample_result against backlog_at and fifo_delay_at, one query each."""
+
+    @pytest.mark.parametrize("kind", [FixedRate, OracleTracking, OracleFinal])
+    @given(trace=close_traces(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_samples_equal_single_queries(self, kind, trace, data):
+        if kind is FixedRate:
+            # above every capacity, the backlog outlives the horizon and the
+            # last samples are censored (NaN)
+            peak = max(bp.rate for bp in trace.breakpoints)
+            controller = FixedRate(data.draw(st.floats(0.2, 2.0)) * peak)
+        else:
+            controller = kind(data.draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0))))
+        try:
+            config = SimConfig(trace, controller)
+        except ModelViolationError:  # overlapping OracleFinal signal windows
+            assume(False)
+        result = simulate_fluid(config)
+        h = result.horizon
+        # the first sample after 0 lands exactly on a capacity breakpoint or
+        # a backlog-segment start; or the horizon is (or is not) a multiple
+        instants = [x for x in (*trace.times, *(s.t_start for s in result.segments))
+                    if 0.0 < x <= h and h / x <= 300.0]
+        steps = [st.integers(1, 300).map(lambda m: h / m), st.floats(1.0, 300.0).map(lambda m: h / m)]
+        if instants:
+            steps.append(st.sampled_from(instants))
+        step = data.draw(st.one_of(steps))
+        assume(step > 0.0)  # h / m underflows on a horizon of a few subnormals
+        assert_samples_match_queries(result, step)
+
+    @pytest.mark.parametrize(
+        "controller", [FixedRate(6e7), OracleTracking(0.0625), OracleFinal(0.0625)]
+    )
+    def test_grid_step_lands_on_every_breakpoint(self, controller):
+        # dyadic instants: every breakpoint and the horizon are multiples of
+        # the step, and 1.5 has a neighbour one ulp below it
+        trace = CapacityTrace(
+            (
+                Breakpoint(0.0, 1e8),
+                Breakpoint(0.5, 1e8, SegmentMode.LINEAR),
+                Breakpoint(0.75, 2e7),
+                Breakpoint(1.25, 5e7),
+                Breakpoint(math.nextafter(1.5, 0.0), 3e7),
+                Breakpoint(1.5, 4e7),
+            ),
+            2.0,
+        )
+        result = simulate_fluid(SimConfig(trace, controller))
+        samples = assert_samples_match_queries(result, 0.0625)
+        assert len(samples) == 33
+        if isinstance(controller, FixedRate):
+            assert math.isnan(samples[-1].fifo_delay)
 
 
 class TestSerialization:

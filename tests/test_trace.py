@@ -45,6 +45,24 @@ def traces(draw):
     return CapacityTrace(bps, times[-1] + tail if times[-1] + tail > 0 else 1.0)
 
 
+@st.composite
+def close_traces(draw):
+    """traces() with up to two extra breakpoints, each a few ulp before an
+    existing one: prefix-table entries that differ in their last bits."""
+    trace = draw(traces())
+    bps = list(trace.breakpoints)
+    if len(bps) > 1:
+        ks = draw(st.lists(st.integers(1, len(bps) - 1), unique=True, max_size=2))
+        for k in sorted(ks, reverse=True):
+            t = bps[k].time
+            for _ in range(draw(st.integers(1, 4))):
+                t = math.nextafter(t, 0.0)
+            rate = draw(st.floats(min_value=1e3, max_value=1e9))
+            mode = draw(st.sampled_from([SegmentMode.HOLD, SegmentMode.LINEAR]))
+            bps.insert(k, Breakpoint(t, rate, mode))
+    return CapacityTrace(tuple(bps), trace.horizon)
+
+
 def walk_integrate(trace, t0, t1):
     """Reference integral: walk the segments, one trapezoid each (a hold
     segment is a trapezoid with equal sides)."""
@@ -279,6 +297,26 @@ class TestCumulativeCurve:
         reference = walk_drain(trace, t, bits)
         if reference is not None:  # the first instant that drains ``bits``
             assert math.isclose(delta, reference, rel_tol=1e-9, abs_tol=floor / min(rates))
+
+    @given(close_traces(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_drain_times_equal_drain_time(self, trace, data):
+        # Queries aimed a few ulp either side of C at each breakpoint, in
+        # ascending and descending order, and drawn ones: the cursors must
+        # step back as well as forward and land where the bisections do.
+        h = trace.horizon
+        aimed = []
+        for x in trace.times:
+            bits = trace.integrate(0.0, x)
+            for _ in range(3):
+                aimed.append((0.0, bits))
+                bits = math.nextafter(bits, math.inf)
+        total = trace.integrate(0.0, h)
+        drawn = data.draw(
+            st.lists(st.tuples(st.floats(0.0, h), st.floats(0.0, 1.2 * total)), max_size=20)
+        )
+        for queries in (sorted(aimed), sorted(aimed, reverse=True), drawn, sorted(drawn)):
+            assert list(trace.drain_times(queries)) == [trace.drain_time(*q) for q in queries]
 
     def test_drain_time_edges(self):
         t = make_step_trace(1e8, 1e7, 1.0, 5.0)
