@@ -425,9 +425,11 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_output_flags(parser: argparse.ArgumentParser, default_format: str) -> None:
-    parser.add_argument("--format", choices=("json", "csv"), default=default_format,
-                        help=f"output format (default {default_format})")
+def _add_output_flags(parser: argparse.ArgumentParser, default_format: str | None) -> None:
+    """``--out``, and ``--format`` for a command with more than one output format."""
+    if default_format is not None:
+        parser.add_argument("--format", choices=("json", "csv"), default=default_format,
+                            help=f"output format (default {default_format})")
     parser.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
 
 
@@ -498,13 +500,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit", metavar="NAME", help="print a scenario's trace CSV")
     p.add_argument("--scenario-param", action="append", metavar="KEY=VALUE",
                    help="override a scenario parameter for --emit (repeatable)")
-    _add_output_flags(p, "csv")
+    _add_output_flags(p, None)
     p.set_defaults(func=_cmd_scenario)
 
     p = sub.add_parser("ingest", help="validate and canonicalize a trace CSV")
     p.add_argument("path", help="trace CSV path ('-' for stdin)")
     p.add_argument("--horizon-ms", type=float, help="explicit horizon (default: last row's time)")
-    _add_output_flags(p, "csv")
+    _add_output_flags(p, None)
     p.set_defaults(func=_cmd_ingest)
 
     return parser

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import pairwise
 from typing import NamedTuple
@@ -125,13 +124,11 @@ class SimConfig:
                     )
 
 
-def _oracle_final_trace(
-    trace: CapacityTrace, events: Iterable[CapacityEvent], delay: float, horizon: float
-) -> CapacityTrace:
-    """The final rate of each of ``events`` (the trace's reductions), held
-    from its onset plus ``delay``."""
+def _oracle_final_trace(trace: CapacityTrace, delay: float, horizon: float) -> CapacityTrace:
+    """The final rate of each of the trace's reductions, held from its onset
+    plus ``delay``."""
     bps = [Breakpoint(0.0, trace.capacity_at(0.0))]
-    for ev in events:
+    for ev in detect_events(trace):
         t = ev.onset + delay
         if t >= horizon:
             break
@@ -170,21 +167,14 @@ def _shifted_trace(trace: CapacityTrace, delay: float, horizon: float) -> Capaci
     return CapacityTrace(tuple(bps), horizon)
 
 
-def _sender_trace(config: SimConfig, events: Iterable[CapacityEvent]) -> CapacityTrace:
-    """:func:`sender_rate_trace` given the trace's reduction events."""
+def sender_rate_trace(config: SimConfig) -> CapacityTrace:
+    """The sender's transmit rate as a piecewise-linear trace on [0, horizon]."""
     assert config.horizon is not None
     if isinstance(config.controller, FixedRate):
         return CapacityTrace((Breakpoint(0.0, config.controller.rate),), config.horizon)
     if isinstance(config.controller, OracleFinal):
-        return _oracle_final_trace(
-            config.trace, events, config.controller.signal_delay, config.horizon
-        )
+        return _oracle_final_trace(config.trace, config.controller.signal_delay, config.horizon)
     return _shifted_trace(config.trace, config.controller.signal_delay, config.horizon)
-
-
-def sender_rate_trace(config: SimConfig) -> CapacityTrace:
-    """The sender's transmit rate as a piecewise-linear trace on [0, horizon]."""
-    return _sender_trace(config, detect_events(config.trace))
 
 
 @dataclass(frozen=True)
@@ -202,16 +192,23 @@ class BacklogSegment:
         v = self.c0 + (self.c1 + self.c2 * dt) * dt
         return v if v > 0.0 else 0.0
 
-    def max_on_segment(self) -> tuple[float, float]:
-        """(backlog, time) of the segment maximum; earliest time wins ties."""
-        length = self.t_end - self.t_start
-        best_v, best_t = self.c0, self.t_start
+    def _interior_vertex(self) -> float | None:
+        """Offset from ``t_start`` of the backlog's maximum when it lies
+        strictly inside the segment, else None."""
         if self.c2 < 0.0:
             dtv = -self.c1 / (2.0 * self.c2)
-            if 0.0 < dtv < length:
-                vv = self.c0 + (self.c1 + self.c2 * dtv) * dtv
-                if vv > best_v:
-                    best_v, best_t = vv, self.t_start + dtv
+            if 0.0 < dtv < self.t_end - self.t_start:
+                return dtv
+        return None
+
+    def max_on_segment(self) -> tuple[float, float]:
+        """(backlog, time) of the segment maximum; earliest time wins ties."""
+        best_v, best_t = self.c0, self.t_start
+        dtv = self._interior_vertex()
+        if dtv is not None:
+            vv = self.c0 + (self.c1 + self.c2 * dtv) * dtv
+            if vv > best_v:
+                best_v, best_t = vv, self.t_start + dtv
         end_v = self.value_at(self.t_end)
         if end_v > best_v:
             best_v, best_t = end_v, self.t_end
@@ -291,7 +288,7 @@ def simulate_fluid(config: SimConfig) -> FluidResult:
     h = config.horizon
     assert h is not None
     events = tuple(detect_events(trace))
-    arrival = _sender_trace(config, events)
+    arrival = sender_rate_trace(config)
 
     cuts = {0.0, h}
     for src in (trace, arrival):
@@ -370,10 +367,9 @@ def simulate_fluid(config: SimConfig) -> FluidResult:
     candidates: list[tuple[float, float]] = []
     for seg in segs:
         candidates.append((seg.t_start, seg.value_at(seg.t_start)))
-        if seg.c2 < 0.0:
-            dtv = -seg.c1 / (2.0 * seg.c2)
-            if 0.0 < dtv < seg.t_end - seg.t_start:
-                candidates.append((seg.t_start + dtv, seg.value_at(seg.t_start + dtv)))
+        dtv = seg._interior_vertex()
+        if dtv is not None:
+            candidates.append((seg.t_start + dtv, seg.value_at(seg.t_start + dtv)))
     candidates.append((h, segs[-1].value_at(h)))
     for delta in trace.drain_times(candidates):  # candidates ascend in t
         if delta is None:

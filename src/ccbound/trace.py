@@ -120,6 +120,9 @@ class CapacityTrace:
             seg = self._segment(i)
             cum.append(cum[-1] + _area(seg, seg[0], seg[1]))
         object.__setattr__(self, "_cum", tuple(cum))
+        # detect_events fills this in on first use; a slot made here keeps
+        # attribute reads on the trace as fast as before it is filled
+        object.__setattr__(self, "_events", None)
 
     @property
     def times(self) -> tuple[float, ...]:
@@ -198,8 +201,9 @@ class CapacityTrace:
     def drain_time(self, t: float, bits: float) -> float | None:
         """Smallest delta >= 0 with ``integrate(t, t + delta) >= bits``: the
         horizontal deviation C^-1(C(t) + bits) - t, or None when
-        C(horizon) - C(t) < bits.  One bisection of the prefix table finds
-        the drain segment and one stable quadratic root the instant in it.
+        C(horizon) - C(t) < bits.  The query is checked, then answered as
+        the one-query case of :meth:`drain_times`: two bisections and one
+        stable quadratic root, O(log n).
         """
         t = float(t)
         bits = float(bits)
@@ -207,34 +211,20 @@ class CapacityTrace:
             raise ValueError(f"t={t!r} outside trace domain [0, {self.horizon!r}]")
         if math.isnan(bits):
             raise ValueError("bits must be a number, got nan")
-        if bits <= 0.0:
-            return 0.0
-        cum = self._cum  # type: ignore[attr-defined]
-        i = self._index_at(t)
-        seg = self._segment(i)
-        head = _area(seg, t, seg[1])
-        if bits <= head:
-            return _drain_end(seg, t, bits) - t
-        # C(t) + bits, counted from the end of t's own segment
-        target = cum[i + 1] + (bits - head)
-        if target > cum[-1]:
-            return None
-        # the last breakpoint at or before the drain instant
-        j = bisect_right(cum, target, i + 1, len(self.breakpoints)) - 1
-        seg = self._segment(j)
-        return _drain_end(seg, seg[0], target - cum[j]) - t
+        return next(self.drain_times(((t, bits),)))
 
     def drain_times(self, queries: Iterable[tuple[float, float]]) -> Iterator[float | None]:
-        """:meth:`drain_time` of each ``(t, bits)`` query in turn, bit for bit.
+        """The drain time of each ``(t, bits)`` query in turn, from one
+        forward sweep; :meth:`drain_time` is the one-query case.
 
-        The same two bisections find t's segment and the drain segment, but
-        each starts from where the previous query's landed whenever that is
-        at or before the new answer, so both land exactly where
-        :meth:`drain_time`'s do, whatever the order of the queries.  When
-        ``t`` and the drain instant C^-1(C(t) + bits) do not decrease, as
-        along one backlog trajectory, each search covers only the segments
-        passed since the previous query.  Queries are not validated: ``t``
-        lies in [0, horizon] and ``bits`` is a number.
+        Two bisections find t's segment and the drain segment.  Each starts
+        where the previous query's landed whenever that is at or before the
+        new answer, so it lands where an unseeded bisection lands, whatever
+        the order of the queries.  When ``t`` and the drain instant
+        C^-1(C(t) + bits) do not decrease, as along one backlog trajectory,
+        each search covers only the segments passed since the previous
+        query.  Queries are not validated: ``t`` lies in [0, horizon] and
+        ``bits`` is a number.
         """
         times, cum = self._times, self._cum  # type: ignore[attr-defined]
         n = len(times)
@@ -251,14 +241,17 @@ class CapacityTrace:
             if bits <= head:
                 yield _drain_end(seg_i, t, bits) - t
                 continue
+            # C(t) + bits, counted from the end of t's own segment
             target = cum[i + 1] + (bits - head)
             if target > cum[-1]:
                 yield None
                 continue
+            # the last breakpoint at or before the drain instant
             k = bisect_right(cum, target, j if i < j and cum[j] <= target else i + 1, n) - 1
             if k != j:
                 j, seg_j = k, self._segment(k)
             yield _drain_end(seg_j, seg_j[0], target - cum[j]) - t
+
 
 def _area(seg: tuple[float, float, float, float], a: float, b: float) -> float:
     """Bits served over [a, b] inside segment ``seg`` = (start, end, rate,
@@ -350,7 +343,11 @@ def detect_events(trace: CapacityTrace) -> list[CapacityEvent]:
     the capacity just before and at the end of the run, ramp_duration is
     the run length (0 for a pure step).  Increases and plateaus never
     produce events, and runs separated by a plateau stay separate events.
+    A trace finds its events on the first call and keeps them; each call
+    returns a fresh list of them.
     """
+    if trace._events is not None:  # type: ignore[attr-defined]
+        return list(trace._events)  # type: ignore[attr-defined]
     events: list[CapacityEvent] = []
     onset = end = None  # the open run falls from pre at onset to post at end
     bps = trace.breakpoints
@@ -369,6 +366,7 @@ def detect_events(trace: CapacityTrace) -> list[CapacityEvent]:
             onset, pre, end, post = start, a.rate, b.time, b.rate
     if onset is not None:
         events.append(CapacityEvent(onset, pre, post, end - onset))
+    object.__setattr__(trace, "_events", tuple(events))
     return events
 
 

@@ -419,6 +419,13 @@ class TestScenarioCommand:
         code, _, _ = run_cli(capsys, "scenario", "--emit", "mars")
         assert code == 2
 
+    def test_format_is_not_a_flag(self, capsys):
+        # scenario output has one format per mode, so there is nothing to pick
+        code, out, err = run_cli(capsys, "scenario", "--table", "wifi", "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert "--format" in err
+
 
 class TestIngest:
     def test_canonicalize_is_idempotent(self, capsys, tmp_path):
@@ -449,6 +456,15 @@ class TestIngest:
     def test_missing_file_exit_3(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "ingest", str(tmp_path / "absent.csv"))
         assert code == 3
+
+    def test_format_is_not_a_flag(self, capsys, tmp_path):
+        # ingest always writes the canonical trace CSV
+        raw = tmp_path / "raw.csv"
+        raw.write_text("0,1e8,hold\n1,1e7,hold\n")
+        code, out, err = run_cli(capsys, "ingest", str(raw), "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert "--format" in err
 
 
 class TestParser:

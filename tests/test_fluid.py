@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from test_trace import close_traces
 
 from ccbound import fluid
+from ccbound import trace as trace_module
 from ccbound.bounds import peak_delay_ramp, peak_delay_step
 from ccbound.cli import main
 from ccbound.fluid import (
@@ -33,6 +34,7 @@ from ccbound.trace import (
     Breakpoint,
     CapacityTrace,
     SegmentMode,
+    detect_events,
     make_ramp_trace,
     make_step_trace,
     trace_to_csv,
@@ -410,14 +412,45 @@ class TestQueryCount:
                     return _method(self, *args)
 
                 patch.setattr(CapacityTrace, name, counted)
+            drain_times = CapacityTrace.drain_times
+
+            def counted_answers(self, queries):
+                # the FIFO candidates and the samples: one count per answer
+                for answer in drain_times(self, queries):
+                    counts["drain_times"] += 1
+                    yield answer
+
+            patch.setattr(CapacityTrace, "drain_times", counted_answers)
             result = simulate_fluid(config)
             sample_result(result, trace.horizon / 200)
-        return sum(counts.values())
+        return counts
 
     def test_queries_grow_linearly_under_persistent_backlog(self, monkeypatch):
         small = self.count_queries(250, monkeypatch)
         large = self.count_queries(1000, monkeypatch)
-        assert large <= 4.5 * small, (small, large)
+        assert small["drain_times"] > 0 and large["drain_times"] > 0
+        assert sum(large.values()) <= 4.5 * sum(small.values()), (small, large)
+
+
+class TestEventsOnce:
+    def test_a_trace_finds_its_events_once(self, monkeypatch):
+        built = []
+
+        class CountedEvent(trace_module.CapacityEvent):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+
+        monkeypatch.setattr(trace_module, "CapacityEvent", CountedEvent)
+        # three steps down, each followed by a step back up
+        rates = (1e8, 5e7, 1e8, 4e7, 1e8, 2e7)
+        trace = CapacityTrace(tuple(Breakpoint(0.5 * k, r) for k, r in enumerate(rates)), 4.0)
+        result = simulate_fluid(SimConfig(trace, OracleFinal(0.1)))
+        first = detect_events(trace)
+        first.clear()  # the caller's list, not the trace's events
+        again = detect_events(trace)
+        assert len(built) == 3
+        assert again == built == list(result.events)
 
 
 class TestSampling:

@@ -302,8 +302,9 @@ class TestCumulativeCurve:
     @settings(max_examples=200, deadline=None)
     def test_drain_times_equal_drain_time(self, trace, data):
         # Queries aimed a few ulp either side of C at each breakpoint, in
-        # ascending and descending order, and drawn ones: the cursors must
-        # step back as well as forward and land where the bisections do.
+        # ascending and descending order, and drawn ones: the seeded
+        # bisections must step back as well as forward and land where the
+        # unseeded ones of a one-query drain_time do.
         h = trace.horizon
         aimed = []
         for x in trace.times:
