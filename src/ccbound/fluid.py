@@ -219,6 +219,11 @@ class BacklogSegment:
 class FluidResult:
     """Exact piecewise-quadratic backlog trajectory plus peak statistics.
 
+    ``segments`` tile [0, horizon]: the first starts at 0, each ends where
+    the next starts, and the last ends at the horizon.  Nothing is lost, so
+    ``bits_in - bits_out`` equals the final backlog ``backlog_at(horizon)``
+    up to rounding.
+
     ``peak_delay_final_norm`` is the peak backlog divided by the rate after
     the reduction that caused it (the capacity at the peak instant when no
     reduction precedes the peak), i.e. the time the final capacity would
@@ -282,7 +287,8 @@ def simulate_fluid(config: SimConfig) -> FluidResult:
     Service equals the capacity while the queue is busy and the arrival
     rate while it is empty (nothing is ever lost: the buffer is infinite).
     Within each cell of the merged breakpoint grid the rate difference is
-    linear, so the backlog is one or two quadratic pieces per cell.
+    linear, so the backlog is one quadratic piece per busy or idle stretch
+    of a cell; a stretch that rounding shrinks to nothing lasts one ulp.
     """
     trace = config.trace
     h = config.horizon
@@ -313,36 +319,29 @@ def simulate_fluid(config: SimConfig) -> FluidResult:
                 f_cur = 0.0
             if b > 0.0 or f_cur > 0.0 or (f_cur == 0.0 and g > 0.0):
                 # busy: the queue absorbs the arrival/capacity difference
+                q0, q1, q2, served = b, f_cur, 0.5 * g, trace
                 length = v - cur
-                root = _first_zero_crossing(b, f_cur, 0.5 * g, length)
+                root = _first_zero_crossing(q0, q1, q2, length)
                 if root is None:
                     end = v
-                    b_end = b + (f_cur + 0.5 * g * length) * length
-                    if b_end < 0.0:  # crossing missed by rounding only
-                        b_end = 0.0
+                    b += (f_cur + 0.5 * g * length) * length
+                    if b < 0.0:  # crossing missed by rounding only
+                        b = 0.0
                 else:
                     end = min(cur + root, v)
-                    b_end = 0.0
-                if end > cur:
-                    segs.append(BacklogSegment(cur, end, b, f_cur, 0.5 * g))
-                    bits_out += trace.integrate(cur, end)
-                b = b_end
-                cur = end if end > cur else v
+                    b = 0.0
             else:
                 # idle: queue empty and arrival <= capacity, output = input
-                if f_cur < 0.0 and g > 0.0:
-                    end = min(cur + (-f_cur) / g, v)
-                else:
-                    end = v
-                if end <= cur:
-                    end = v
-                segs.append(BacklogSegment(cur, end, 0.0, 0.0, 0.0))
-                bits_out += arrival.integrate(cur, end)
-                b = 0.0
-                cur = end
-
-    if not segs:  # unreachable for a valid config; keep the result total
-        segs.append(BacklogSegment(0.0, h, 0.0, 0.0, 0.0))
+                end = min(cur - f_cur / g, v) if f_cur < 0.0 and g > 0.0 else v
+                q0, q1, q2, served = 0.0, 0.0, 0.0, arrival
+            if end <= cur:
+                # the queue flips state closer to cur than one ulp: one ulp
+                # in the current state carries cur past the flip, so the next
+                # step sees the new state and the rest of the cell is solved
+                end = math.nextafter(cur, v)
+            segs.append(BacklogSegment(cur, end, q0, q1, q2))
+            bits_out += served.integrate(cur, end)
+            cur = end
 
     peak_b, peak_t = 0.0, 0.0
     for seg in segs:

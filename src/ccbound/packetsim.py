@@ -236,17 +236,14 @@ class BoundComparison:
 
 
 def compare_to_bound(
-    result: PacketSimResult,
-    event: CapacityEvent,
-    signal_delay: float,
-    slack: float | None = None,
+    result: PacketSimResult, event: CapacityEvent, signal_delay: float
 ) -> BoundComparison:
     """Compare the measured peak queue delay after ``event.onset`` with the
     closed-form floor for the event.
 
-    ``slack`` defaults to one packet serialization time at the event's
-    final rate, the discretization a fluid model does not see.  A
-    measurement below bound - slack is flagged as a violation only when
+    The slack is one packet serialization time at the event's final rate,
+    the discretization a fluid model does not see.  A measurement below
+    bound - slack is flagged as a violation only when
     ``result.congestion_reached``; for a sender that never pressed against
     the link the comparison is vacuous.
     """
@@ -259,8 +256,7 @@ def compare_to_bound(
         )
     measured = max(post)
     bound = peak_delay_ramp(event.c_factor, d, event.ramp_duration)
-    if slack is None:
-        slack = result.config.packet_size / event.post_rate
+    slack = result.config.packet_size / event.post_rate
     ratio = measured / bound if bound > 0.0 else None
     violation = result.congestion_reached and measured < bound - slack
     return BoundComparison(bound, measured, ratio, slack, violation)

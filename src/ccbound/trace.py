@@ -163,17 +163,14 @@ class CapacityTrace:
         a hold segment.
         """
         t = float(t)
-        if t == 0.0:
-            return self.capacity_at(0.0)
-        if not 0.0 < t <= self.horizon:
-            raise ValueError(f"t={t!r} outside trace domain [0, {self.horizon!r}]")
-        i = self._index_at(t)
-        bp = self.breakpoints[i]
-        if bp.time == t:
-            prev = self.breakpoints[i - 1]
-            if prev.mode is SegmentMode.HOLD:
-                return prev.rate
-            return bp.rate  # linear segments are continuous at their right end
+        if 0.0 < t <= self.horizon:
+            i = self._index_at(t)
+            bp = self.breakpoints[i]
+            if bp.time == t:
+                prev = self.breakpoints[i - 1]
+                if prev.mode is SegmentMode.HOLD:
+                    return prev.rate
+                return bp.rate  # linear segments are continuous at their right end
         return self.capacity_at(t)
 
     def integrate(self, t0: float, t1: float) -> float:

@@ -10,7 +10,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from test_trace import close_traces
 
@@ -297,6 +297,102 @@ class TestConservationAndShape:
         result = simulate_fluid(SimConfig(trace, OracleFinal(0.017)))
         assert result.segments[0].t_start == 0.0
         assert result.segments[-1].t_end == result.horizon
+
+
+@st.composite
+def late_traces(draw):
+    """Breakpoints a few ms apart after a quiet start at t0 in {0, 10, 100,
+    1000} s: at those times one ulp is up to 1e-13 s, so zero crossings and
+    idle ends round onto the instant they are measured from."""
+    t0 = draw(st.sampled_from([0.0, 10.0, 100.0, 1000.0]))
+    gaps = draw(st.lists(st.floats(1e-5, 1e-2), min_size=1, max_size=5))
+    times = [0.0] if t0 == 0.0 else [0.0, t0]
+    for gap in gaps:
+        times.append(times[-1] + gap)
+    rates = draw(st.lists(st.floats(1e7, 1e9), min_size=len(times), max_size=len(times)))
+    modes = draw(st.lists(st.sampled_from([SegmentMode.HOLD, SegmentMode.LINEAR]),
+                          min_size=len(times), max_size=len(times)))
+    modes[-1] = SegmentMode.HOLD
+    horizon = times[-1] + draw(st.floats(0.0, 1e-2))
+    return CapacityTrace(tuple(map(Breakpoint, times, rates, modes)), horizon)
+
+
+@st.composite
+def solver_cases(draw):
+    """A trace and a controller; fixed rates also sit on, or within 1e-9
+    relative of, a breakpoint rate, where the queue state flips at a
+    rounding distance from a cell's start."""
+    trace = draw(st.one_of(close_traces(), late_traces()))
+    rate = draw(st.sampled_from([bp.rate for bp in trace.breakpoints]))
+    h = trace.horizon
+    delay = draw(st.one_of(st.just(0.0), st.floats(-6.0, 0.0).map(lambda k: h * 10.0**k)))
+    controller = draw(
+        st.one_of(
+            st.floats(1e3, 2e9).map(FixedRate),
+            st.just(FixedRate(rate)),
+            st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-15.0, -9.0)).map(
+                lambda sk: FixedRate(rate * (1.0 + sk[0] * 10.0 ** sk[1]))
+            ),
+            st.just(OracleTracking(delay)),
+            st.just(OracleFinal(delay)),
+        )
+    )
+    try:
+        return SimConfig(trace, controller)
+    except ModelViolationError:  # overlapping OracleFinal signal windows
+        assume(False)
+
+
+# the 4e-27 bits queued at 0.02 s drain within an ulp of it
+REPRO_DROPPED_CELL = SimConfig(
+    CapacityTrace(
+        (
+            Breakpoint(0.0, 77544275.52427314, SegmentMode.LINEAR),
+            Breakpoint(0.01, 51635980.659433395),
+            Breakpoint(0.02, 57593000.33364725),
+        ),
+        0.03,
+    ),
+    FixedRate(51635980.659433395),
+)
+# an idle stretch ends within an ulp of its start, and arrivals overtake
+# the capacity right after it
+REPRO_OVERLOAD_IDLED = SimConfig(
+    CapacityTrace(
+        (
+            Breakpoint(0.0, 743035574.7279638, SegmentMode.LINEAR),
+            Breakpoint(100.00313863682054, 882262814.7587273, SegmentMode.LINEAR),
+            Breakpoint(100.00443168119203, 240125990.1529704),
+        ),
+        100.01443168119204,
+    ),
+    FixedRate(743035574.9881022),
+)
+
+
+class TestSolverInvariants:
+    """Tiling, conservation, no idle overload and a bounded piece count on
+    every input, including queue flips that round onto a piece's start."""
+
+    @given(config=solver_cases())
+    @example(config=REPRO_DROPPED_CELL)
+    @example(config=REPRO_OVERLOAD_IDLED)
+    @settings(max_examples=150, deadline=None)
+    def test_segments_tile_conserve_and_never_idle_an_overload(self, config):
+        result = simulate_fluid(config)
+        h, segs = result.horizon, result.segments
+        assert segs[0].t_start == 0.0
+        assert all(a.t_end == b.t_start for a, b in zip(segs, segs[1:]))
+        assert segs[-1].t_end == h
+        tol = 1e-9 * result.bits_in
+        assert abs(result.bits_in - result.bits_out - result.backlog_at(h)) <= tol
+        arrival = sender_rate_trace(config)
+        for s in segs:
+            if (s.c0, s.c1, s.c2) == (0.0, 0.0, 0.0):
+                served = config.trace.integrate(s.t_start, s.t_end)
+                assert arrival.integrate(s.t_start, s.t_end) <= served + tol, s
+        cuts = {0.0, h, *(t for t in (*config.trace.times, *arrival.times) if t < h)}
+        assert len(segs) <= 8 * (len(cuts) - 1)
 
 
 class TestRecoveryAndMultiEvent:

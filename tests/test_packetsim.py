@@ -7,6 +7,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccbound import packetsim
 from ccbound.bounds import peak_delay_step
@@ -17,7 +19,14 @@ from ccbound.packetsim import (
     event_log_to_csv,
     simulate_packets,
 )
-from ccbound.trace import Breakpoint, CapacityEvent, CapacityTrace, detect_events, make_step_trace
+from ccbound.trace import (
+    Breakpoint,
+    CapacityEvent,
+    CapacityTrace,
+    detect_events,
+    make_ramp_trace,
+    make_step_trace,
+)
 
 
 def saturated_step_config(pre, c, d, seed, *, fwd=0.002, pkt=12000.0, ai=2.0, md=0.5,
@@ -107,6 +116,50 @@ class TestBasics:
         result = simulate_packets(saturated_step_config(12e6, 5.0, 0.02, seed=5))
         times = [e.t for e in result.log]
         assert times == sorted(times)
+
+
+@st.composite
+def aimd_configs(draw):
+    """A random AIMD run across one capacity reduction, step or ramp."""
+    pre = draw(st.floats(2e6, 2e7))
+    c = draw(st.floats(1.5, 20.0))
+    d = draw(st.floats(0.005, 0.05))
+    ramp = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.2)))
+    onset = 0.5
+    return PacketSimConfig(
+        make_ramp_trace(pre, pre / c, onset, ramp, onset + ramp + 1.0),
+        forward_delay=draw(st.floats(0.001, 0.01)),
+        x_to_b_delay=d / 2.0,
+        reverse_delay=d / 2.0,
+        aimd=AimdParams(draw(st.floats(0.5, 4.0)), draw(st.floats(0.3, 0.9))),
+        mark_threshold=draw(st.floats(0.001, 0.1)),
+        initial_window=draw(st.integers(0, 60)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+class TestLindleyReference:
+    """The FIFO server against Lindley's recursion (Lindley 1952) replayed
+    on the logged arrivals: d_k = s_k + size / c(s_k), s_k = max(a_k, d_{k-1})."""
+
+    @given(config=aimd_configs())
+    @settings(max_examples=25, deadline=None)
+    def test_dequeues_and_sojourns_match_bit_for_bit(self, config):
+        result = simulate_packets(config)
+        arrivals = [(e.packet_id, e.t) for e in result.log if e.event == "enqueue"]
+        expected = []
+        depart = -math.inf
+        for pid, arrived in arrivals:
+            start = max(arrived, depart)
+            depart = start + config.packet_size / config.trace.capacity_at(start)
+            if depart > config.trace.horizon:  # the later packets stay queued
+                break
+            expected.append((pid, arrived, depart))
+        dequeues = [(e.packet_id, e.t) for e in result.log if e.event == "dequeue"]
+        assert dequeues == [(pid, depart) for pid, _, depart in expected]
+        assert result.queue_delay_series == tuple(
+            (depart, depart - arrived) for _, arrived, depart in expected
+        )
 
 
 class TestQueryCount:
