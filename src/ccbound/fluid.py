@@ -222,7 +222,8 @@ class FluidResult:
     ``segments`` tile [0, horizon]: the first starts at 0, each ends where
     the next starts, and the last ends at the horizon.  Nothing is lost, so
     ``bits_in - bits_out`` equals the final backlog ``backlog_at(horizon)``
-    up to rounding.
+    up to rounding.  ``events`` are the trace's reductions with an onset
+    before the horizon, the only ones the run simulates.
 
     ``peak_delay_final_norm`` is the peak backlog divided by the rate after
     the reduction that caused it (the capacity at the peak instant when no
@@ -293,7 +294,8 @@ def simulate_fluid(config: SimConfig) -> FluidResult:
     trace = config.trace
     h = config.horizon
     assert h is not None
-    events = tuple(detect_events(trace))
+    # reductions from the horizon on never reach the sender (SimConfig)
+    events = tuple(ev for ev in detect_events(trace) if ev.onset < h)
     arrival = sender_rate_trace(config)
 
     cuts = {0.0, h}

@@ -77,8 +77,10 @@ class PacketSimConfig:
         check_seconds(self.x_to_b_delay, "x_to_b_delay")
         check_seconds(self.reverse_delay, "reverse_delay")
         check_seconds(self.mark_threshold, "mark_threshold")
-        if self.initial_window < 0:
-            raise ValueError(f"initial_window must be >= 0 packets, got {self.initial_window!r}")
+        if not isinstance(self.initial_window, int) or self.initial_window < 0:
+            raise ValueError(
+                f"initial_window must be a whole number >= 0 packets, got {self.initial_window!r}"
+            )
 
 
 class LogEntry(NamedTuple):

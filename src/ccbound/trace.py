@@ -11,6 +11,7 @@ import math
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import accumulate
 
 __all__ = [
     "SegmentMode",
@@ -55,7 +56,7 @@ class SegmentMode(enum.Enum):
     LINEAR = "linear"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Breakpoint:
     """One (time, rate) anchor plus the behaviour of the segment it opens."""
 
@@ -113,12 +114,20 @@ class CapacityTrace:
             )
         object.__setattr__(self, "horizon", horizon)
         object.__setattr__(self, "_times", tuple(bp.time for bp in bps))
+        # One row per segment, (start, end, rate at start, slope, rate
+        # approached at the end), read by every query; a segment ends at
+        # the next breakpoint, the last one at the horizon.
+        rows = [
+            (a.time, b.time, a.rate, (b.rate - a.rate) / (b.time - a.time), b.rate)
+            if a.mode is SegmentMode.LINEAR
+            else (a.time, b.time, a.rate, 0.0, a.rate)
+            for a, b in zip(bps, bps[1:])
+        ]
+        rows.append((bps[-1].time, horizon, bps[-1].rate, 0.0, bps[-1].rate))
+        object.__setattr__(self, "_rows", tuple(rows))
         # _cum[i] = C(times[i]), the bits served at full utilisation from 0
         # to breakpoint i; the extra last entry is C(horizon).
-        cum = [0.0]
-        for i in range(len(bps)):
-            seg = self._segment(i)
-            cum.append(cum[-1] + _area(seg, seg[0], seg[1]))
+        cum = accumulate((_area(row, row[0], row[1]) for row in rows), initial=0.0)
         object.__setattr__(self, "_cum", tuple(cum))
         # detect_events fills this in on first use; a slot made here keeps
         # attribute reads on the trace as fast as before it is filled
@@ -132,29 +141,15 @@ class CapacityTrace:
     def _index_at(self, t: float) -> int:
         return bisect_right(self._times, t) - 1  # type: ignore[attr-defined]
 
-    def _segment(self, i: int) -> tuple[float, float, float, float]:
-        """Segment ``i`` as (start, end, rate at start, slope); it ends at
-        the next breakpoint or at the horizon."""
-        bp = self.breakpoints[i]
-        if i + 1 == len(self.breakpoints):
-            return bp.time, self.horizon, bp.rate, 0.0
-        nxt = self.breakpoints[i + 1]
-        if bp.mode is SegmentMode.LINEAR:
-            return bp.time, nxt.time, bp.rate, (nxt.rate - bp.rate) / (nxt.time - bp.time)
-        return bp.time, nxt.time, bp.rate, 0.0
-
     def capacity_at(self, t: float) -> float:
         """Exact capacity at ``t`` in [0, horizon]; right-continuous at holds."""
         t = float(t)
         if not 0.0 <= t <= self.horizon:
             raise ValueError(f"t={t!r} outside trace domain [0, {self.horizon!r}]")
-        i = self._index_at(t)
-        bp = self.breakpoints[i]
-        if bp.mode is SegmentMode.LINEAR and i + 1 < len(self.breakpoints):
-            nxt = self.breakpoints[i + 1]
-            u = (t - bp.time) / (nxt.time - bp.time)
-            return bp.rate + u * (nxt.rate - bp.rate)
-        return bp.rate
+        start, end, rate, _, end_rate = self._rows[self._index_at(t)]  # type: ignore[attr-defined]
+        if end_rate == rate:
+            return rate
+        return rate + (t - start) / (end - start) * (end_rate - rate)
 
     def left_limit_at(self, t: float) -> float:
         """Capacity approaching ``t`` from below.
@@ -165,12 +160,8 @@ class CapacityTrace:
         t = float(t)
         if 0.0 < t <= self.horizon:
             i = self._index_at(t)
-            bp = self.breakpoints[i]
-            if bp.time == t:
-                prev = self.breakpoints[i - 1]
-                if prev.mode is SegmentMode.HOLD:
-                    return prev.rate
-                return bp.rate  # linear segments are continuous at their right end
+            if self._times[i] == t:  # type: ignore[attr-defined]
+                return self._rows[i - 1][4]  # type: ignore[attr-defined]
         return self.capacity_at(t)
 
     def integrate(self, t0: float, t1: float) -> float:
@@ -187,12 +178,12 @@ class CapacityTrace:
             raise ValueError(
                 f"integration interval [{t0!r}, {t1!r}] invalid for domain [0, {self.horizon!r}]"
             )
+        rows, cum = self._rows, self._cum  # type: ignore[attr-defined]
         i, j = self._index_at(t0), self._index_at(t1)
-        first = self._segment(i)
+        first = rows[i]
         if i == j:
             return _area(first, t0, t1)
-        last = self._segment(j)
-        cum = self._cum  # type: ignore[attr-defined]
+        last = rows[j]
         return _area(first, t0, first[1]) + (cum[j] - cum[i + 1]) + _area(last, last[0], t1)
 
     def drain_time(self, t: float, bits: float) -> float | None:
@@ -214,29 +205,28 @@ class CapacityTrace:
         """The drain time of each ``(t, bits)`` query in turn, from one
         forward sweep; :meth:`drain_time` is the one-query case.
 
-        Two bisections find t's segment and the drain segment.  Each starts
-        where the previous query's landed whenever that is at or before the
-        new answer, so it lands where an unseeded bisection lands, whatever
-        the order of the queries.  When ``t`` and the drain instant
-        C^-1(C(t) + bits) do not decrease, as along one backlog trajectory,
-        each search covers only the segments passed since the previous
-        query.  Queries are not validated: ``t`` lies in [0, horizon] and
-        ``bits`` is a number.
+        Two bisections find the rows of t's segment and of the drain
+        segment; only their indices carry over between queries, and no
+        segment is cached.  Each starts where the previous query's landed
+        whenever that is at or before the new answer, so it lands where an
+        unseeded bisection lands, whatever the order of the queries.  When
+        ``t`` and the drain instant C^-1(C(t) + bits) do not decrease, as
+        along one backlog trajectory, each search covers only the segments
+        passed since the previous query.  Queries are not validated: ``t``
+        lies in [0, horizon] and ``bits`` is a number.
         """
-        times, cum = self._times, self._cum  # type: ignore[attr-defined]
+        times, cum, rows = self._times, self._cum, self._rows  # type: ignore[attr-defined]
         n = len(times)
         i = j = 0
-        seg_i = seg_j = self._segment(0)
         for t, bits in queries:
             if bits <= 0.0:
                 yield 0.0
                 continue
-            k = bisect_right(times, t, i if times[i] <= t else 0) - 1
-            if k != i:
-                i, seg_i = k, self._segment(k)
-            head = _area(seg_i, t, seg_i[1])
+            i = bisect_right(times, t, i if times[i] <= t else 0) - 1
+            row = rows[i]
+            head = _area(row, t, row[1])
             if bits <= head:
-                yield _drain_end(seg_i, t, bits) - t
+                yield _drain_end(row, t, bits) - t
                 continue
             # C(t) + bits, counted from the end of t's own segment
             target = cum[i + 1] + (bits - head)
@@ -244,23 +234,22 @@ class CapacityTrace:
                 yield None
                 continue
             # the last breakpoint at or before the drain instant
-            k = bisect_right(cum, target, j if i < j and cum[j] <= target else i + 1, n) - 1
-            if k != j:
-                j, seg_j = k, self._segment(k)
-            yield _drain_end(seg_j, seg_j[0], target - cum[j]) - t
+            j = bisect_right(cum, target, j if i < j and cum[j] <= target else i + 1, n) - 1
+            row = rows[j]
+            yield _drain_end(row, row[0], target - cum[j]) - t
 
 
-def _area(seg: tuple[float, float, float, float], a: float, b: float) -> float:
-    """Bits served over [a, b] inside segment ``seg`` = (start, end, rate,
-    slope): a rectangle or a trapezoid."""
-    start, _, rate, slope = seg
+def _area(row: tuple[float, ...], a: float, b: float) -> float:
+    """Bits served over [a, b] inside the segment of ``row``: a rectangle
+    or a trapezoid."""
+    start, _, rate, slope, _ = row
     return (b - a) * (rate + 0.5 * slope * ((a - start) + (b - start)))
 
 
-def _drain_end(seg: tuple[float, float, float, float], start: float, rest: float) -> float:
-    """The instant segment ``seg`` has served ``rest`` bits counted from
-    ``start``: one stable quadratic root, clamped to the segment's end."""
-    t_i, end, rate, slope = seg
+def _drain_end(row: tuple[float, ...], start: float, rest: float) -> float:
+    """The instant the segment of ``row`` has served ``rest`` bits counted
+    from ``start``: one stable quadratic root, clamped to the segment's end."""
+    t_i, end, rate, slope, _ = row
     v0 = rate + slope * (start - t_i)
     x = 2.0 * rest / (v0 + math.sqrt(max(0.0, v0 * v0 + 2.0 * slope * rest)))
     return min(start + x, end)

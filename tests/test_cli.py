@@ -113,6 +113,17 @@ class TestSimulate:
         assert summary["events"][0]["c_factor"] == pytest.approx(144.4 / 14.4, rel=1e-12)
         assert summary["events"][0]["bound_ms"] == pytest.approx(expected_ms, rel=1e-12)
 
+    def test_sub_horizon_run_lists_no_reduction_after_it(self, capsys):
+        # wifi-step drops at 1000 ms: a 500 ms run never simulates it
+        code, out, _ = run_cli(
+            capsys, "simulate", "--scenario", "wifi-step", "--controller", "oracle-final",
+            "--delay-ms", "17", "--horizon-ms", "500",
+        )
+        assert code == 0
+        summary = parse_envelope(out)["results"]["summary"]
+        assert summary["events"] == []
+        assert summary["peak_delay_ms"] == 0.0
+
     def test_fixed_below_minimum_capacity(self, capsys):
         code, out, _ = run_cli(
             capsys, "simulate", "--scenario", "wifi-step", "--controller", "fixed:1"

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from test_trace import close_traces
+from test_trace import close_traces, late_traces
 
 from ccbound import fluid
 from ccbound import trace as trace_module
@@ -300,24 +300,6 @@ class TestConservationAndShape:
 
 
 @st.composite
-def late_traces(draw):
-    """Breakpoints a few ms apart after a quiet start at t0 in {0, 10, 100,
-    1000} s: at those times one ulp is up to 1e-13 s, so zero crossings and
-    idle ends round onto the instant they are measured from."""
-    t0 = draw(st.sampled_from([0.0, 10.0, 100.0, 1000.0]))
-    gaps = draw(st.lists(st.floats(1e-5, 1e-2), min_size=1, max_size=5))
-    times = [0.0] if t0 == 0.0 else [0.0, t0]
-    for gap in gaps:
-        times.append(times[-1] + gap)
-    rates = draw(st.lists(st.floats(1e7, 1e9), min_size=len(times), max_size=len(times)))
-    modes = draw(st.lists(st.sampled_from([SegmentMode.HOLD, SegmentMode.LINEAR]),
-                          min_size=len(times), max_size=len(times)))
-    modes[-1] = SegmentMode.HOLD
-    horizon = times[-1] + draw(st.floats(0.0, 1e-2))
-    return CapacityTrace(tuple(map(Breakpoint, times, rates, modes)), horizon)
-
-
-@st.composite
 def solver_cases(draw):
     """A trace and a controller; fixed rates also sit on, or within 1e-9
     relative of, a breakpoint rate, where the queue state flips at a
@@ -442,6 +424,15 @@ class TestRecoveryAndMultiEvent:
         assert result.peak_backlog == pytest.approx(9e7 * 0.02, rel=1e-9)
         with pytest.raises(ModelViolationError, match="overlapping"):
             SimConfig(trace, OracleFinal(0.1), horizon=1.1)
+
+    @pytest.mark.parametrize("horizon, onsets", [(0.5, []), (1.0, []), (1.01, [1.0])])
+    def test_events_are_those_before_the_horizon(self, horizon, onsets):
+        # a reduction from the horizon on is never simulated, so it is not
+        # reported either, the rule SimConfig applies to signal windows
+        trace = make_step_trace(144.4e6, 14.4e6, 1.0, 5.0)
+        result = simulate_fluid(SimConfig(trace, OracleFinal(0.017), horizon=horizon))
+        assert [ev.onset for ev in result.events] == onsets
+        assert [ev["onset_s"] for ev in result_to_json_dict(result)["events"]] == onsets
 
     def test_horizon_beyond_trace_rejected(self):
         trace = make_step_trace(1e8, 1e7, 1.0, 5.0)

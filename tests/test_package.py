@@ -1,9 +1,11 @@
 """Package-level contracts: the export list is the union of the modules'
-export lists, and the package imports nothing outside the standard library."""
+export lists, the package imports nothing outside the standard library,
+and the README's library example runs as written."""
 
 from __future__ import annotations
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -33,3 +35,10 @@ def test_runtime_imports_are_stdlib_only():
             for name in names:
                 top = name.partition(".")[0]
                 assert top in sys.stdlib_module_names or top == "ccbound", (path.name, name)
+
+
+def test_readme_python_example_runs():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme.read_text(encoding="utf-8"), re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})

@@ -297,6 +297,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             PacketSimConfig(trace, initial_window=-1)
 
+    @pytest.mark.parametrize("window", [2.5, math.nan, 3.0, "4"])
+    def test_initial_window_must_be_a_whole_number(self, window):
+        trace = make_step_trace(1e7, 1e6, 1.0, 2.0)
+        with pytest.raises(ValueError, match="initial_window"):
+            PacketSimConfig(trace, initial_window=window)
+
     def test_packet_cap(self, monkeypatch):
         config = saturated_step_config(12e6, 5.0, 0.02, seed=3)
         sent = simulate_packets(config).packets_sent

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings
@@ -61,6 +62,43 @@ def close_traces(draw):
             mode = draw(st.sampled_from([SegmentMode.HOLD, SegmentMode.LINEAR]))
             bps.insert(k, Breakpoint(t, rate, mode))
     return CapacityTrace(tuple(bps), trace.horizon)
+
+
+@st.composite
+def late_traces(draw):
+    """Breakpoints a few ms apart after a quiet start at t0 in {0, 10, 100,
+    1000} s: at those times one ulp is up to 1e-13 s, so zero crossings and
+    idle ends round onto the instant they are measured from."""
+    t0 = draw(st.sampled_from([0.0, 10.0, 100.0, 1000.0]))
+    gaps = draw(st.lists(st.floats(1e-5, 1e-2), min_size=1, max_size=5))
+    times = [0.0] if t0 == 0.0 else [0.0, t0]
+    for gap in gaps:
+        times.append(times[-1] + gap)
+    rates = draw(st.lists(st.floats(1e7, 1e9), min_size=len(times), max_size=len(times)))
+    modes = draw(st.lists(st.sampled_from([SegmentMode.HOLD, SegmentMode.LINEAR]),
+                          min_size=len(times), max_size=len(times)))
+    modes[-1] = SegmentMode.HOLD
+    horizon = times[-1] + draw(st.floats(0.0, 1e-2))
+    return CapacityTrace(tuple(map(Breakpoint, times, rates, modes)), horizon)
+
+
+def reference_capacity(trace, t):
+    """(value, left limit) at ``t`` read off ``trace.breakpoints``: a hold
+    keeps its rate, a linear segment interpolates toward the next rate, and
+    at a breakpoint the left limit is the previous hold's rate, or the
+    breakpoint's own rate after a linear segment."""
+    bps = trace.breakpoints
+    i = bisect_right([bp.time for bp in bps], t) - 1
+    bp = bps[i]
+    value = bp.rate
+    if bp.mode is SegmentMode.LINEAR and i + 1 < len(bps):
+        nxt = bps[i + 1]
+        u = (t - bp.time) / (nxt.time - bp.time)
+        value = bp.rate + u * (nxt.rate - bp.rate)
+    if t > 0.0 and bp.time == t:
+        prev = bps[i - 1]
+        return value, prev.rate if prev.mode is SegmentMode.HOLD else bp.rate
+    return value, value
 
 
 def walk_integrate(trace, t0, t1):
@@ -214,6 +252,19 @@ class TestCapacityAt:
         t = make_step_trace(1e8, 1e7, 1.0, 5.0)
         assert t.left_limit_at(1.0) == 1e8
         assert t.capacity_at(1.0) == 1e7
+
+    @given(st.one_of(close_traces(), late_traces()), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_value_and_left_limit_match_the_breakpoints(self, trace, data):
+        h = trace.horizon
+        instants = {h}
+        for t in trace.times:
+            instants.update((t, math.nextafter(t, 0.0), min(math.nextafter(t, math.inf), h)))
+        instants.update(data.draw(st.lists(st.floats(0.0, h), max_size=20)))
+        for t in sorted(instants):
+            value, left = reference_capacity(trace, t)
+            assert trace.capacity_at(t).hex() == value.hex(), t
+            assert trace.left_limit_at(t).hex() == left.hex(), t
 
     @given(traces())
     @settings(max_examples=50, deadline=None)
