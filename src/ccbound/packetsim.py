@@ -7,6 +7,11 @@ On a marked ACK the sender multiplies its window once per round trip;
 otherwise it grows by ``additive_increase`` packets per round trip.  The
 event loop is keyed by (time, sequence), so equal configs and seeds
 produce bit-identical event logs.
+
+A run keeps its event log and its per-dequeue series as typed float
+columns and formats nothing while it runs; ``PacketSimResult.log``,
+``PacketSimResult.queue_delay_series`` and :func:`event_log_to_csv` build
+their values from the columns when read.
 """
 
 from __future__ import annotations
@@ -15,8 +20,10 @@ import heapq
 import itertools
 import math
 import random
+from array import array
+from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .bounds import peak_delay_ramp
@@ -34,6 +41,28 @@ __all__ = [
 ]
 
 _ARRIVE, _DEPART, _ACK, _MARKED_ACK = 0, 1, 2, 3
+
+# A log record is _RECORD floats: (t, kind code, packet id, queue bits,
+# value), where the value is the sojourn of a mark record and cwnd of an
+# ack or window record.  Each kind code names its event and the template
+# that renders the value as the detail; "%.0s" takes a value and shows none.
+_RECORD = 5
+_KINDS = (
+    ("enqueue", "%.0s"),
+    ("dequeue", "%.0s"),
+    ("dequeue", "marked%.0s"),
+    ("mark", "sojourn=%.6f"),
+    ("ack", "cwnd=%.3f"),
+    ("ack", "marked cwnd=%.3f"),
+    ("window", "decrease cwnd=%.3f"),
+)
+# the kind codes, in _KINDS order
+_ENQUEUED, _DEQUEUED, _DEQUEUED_MARKED, _MARKED, _ACKED, _ACKED_MARKED, _WINDOW = range(len(_KINDS))
+# One CSV row template per kind code, keyed by the code as the log stores
+# it, for the arguments (t, packet id, queue bits already as text, value)
+_CSV_ROWS = {
+    float(k): f"%r,{event},%d,%s,{detail}\n" for k, (event, detail) in enumerate(_KINDS)
+}
 
 # Most packets one simulate_packets run may send; a send burst that would
 # pass it is refused before any of its packets is scheduled.
@@ -81,6 +110,10 @@ class PacketSimConfig:
             raise ValueError(
                 f"initial_window must be a whole number >= 0 packets, got {self.initial_window!r}"
             )
+        # random.Random(None) seeds from OS entropy, which would break
+        # byte-identical logs per config
+        if not isinstance(self.seed, int):
+            raise ValueError(f"seed must be a whole number, got {self.seed!r}")
 
 
 class LogEntry(NamedTuple):
@@ -94,12 +127,30 @@ class LogEntry(NamedTuple):
 @dataclass(frozen=True)
 class PacketSimResult:
     config: PacketSimConfig
-    log: tuple[LogEntry, ...]
-    queue_delay_series: tuple[tuple[float, float], ...]  # (dequeue time, sojourn)
+    # The log's records back to back, and one dequeue time and one sojourn
+    # per delivered packet.  Arrays are unhashable, so hash() skips them;
+    # it still agrees with ==, which compares them.
+    _log: array = field(repr=False, hash=False)
+    _dequeue_times: array = field(repr=False, hash=False)
+    _sojourns: array = field(repr=False, hash=False)
     peak_queue_delay: float
     congestion_reached: bool
     packets_sent: int
     packets_delivered: int
+
+    @property
+    def log(self) -> tuple[LogEntry, ...]:
+        """The event log, built from the record column on each read."""
+        it = iter(self._log)
+        return tuple(
+            LogEntry(t, _KINDS[int(k)][0], int(pid), bits, _KINDS[int(k)][1] % value)
+            for t, k, pid, bits, value in zip(*[it] * _RECORD)
+        )
+
+    @property
+    def queue_delay_series(self) -> tuple[tuple[float, float], ...]:
+        """(dequeue time, sojourn) per delivered packet, built on each read."""
+        return tuple(zip(self._dequeue_times, self._sojourns))
 
 
 def _check_packet_count(count: int) -> None:
@@ -149,8 +200,9 @@ def simulate_packets(config: PacketSimConfig) -> PacketSimResult:
     recovery_end_pid = 0
     congestion_seen = False
 
-    log: list[LogEntry] = []
-    delays: list[tuple[float, float]] = []
+    log = array("d")
+    record = log.extend
+    dequeue_times, sojourns = array("d"), array("d")
 
     # Initial burst, paced at the initial link rate with seeded phase jitter
     # to break synchronization artifacts while staying deterministic.
@@ -168,7 +220,7 @@ def simulate_packets(config: PacketSimConfig) -> PacketSimResult:
         if kind == _ARRIVE:
             queue.append((pid, t))
             queue_bits += pkt
-            log.append(LogEntry(t, "enqueue", pid, queue_bits))
+            record((t, _ENQUEUED, pid, queue_bits, 0.0))
             if len(queue) == 1:  # the server was idle
                 heapq.heappush(heap, (t + pkt / trace.capacity_at(t), next(seq), _DEPART, pid))
         elif kind == _DEPART:
@@ -176,11 +228,14 @@ def simulate_packets(config: PacketSimConfig) -> PacketSimResult:
             assert head == pid  # FIFO service order
             queue_bits -= pkt
             sojourn = t - arrived
-            delays.append((t, sojourn))
+            dequeue_times.append(t)
+            sojourns.append(sojourn)
             mark = sojourn > config.mark_threshold
-            log.append(LogEntry(t, "dequeue", pid, queue_bits, "marked" if mark else ""))
             if mark:
-                log.append(LogEntry(t, "mark", pid, queue_bits, f"sojourn={sojourn:.6f}"))
+                record((t, _DEQUEUED_MARKED, pid, queue_bits, 0.0,
+                        t, _MARKED, pid, queue_bits, sojourn))
+            else:
+                record((t, _DEQUEUED, pid, queue_bits, 0.0))
             ack = _MARKED_ACK if mark else _ACK
             heapq.heappush(heap, (t + xb + rev, next(seq), ack, pid))
             if queue:
@@ -198,15 +253,13 @@ def simulate_packets(config: PacketSimConfig) -> PacketSimResult:
                 if pid >= recovery_end_pid:
                     cwnd = max(1.0, cwnd * md)
                     recovery_end_pid = next_pid
-                    log.append(LogEntry(t, "window", pid, queue_bits, f"decrease cwnd={cwnd:.3f}"))
+                    record((t, _WINDOW, pid, queue_bits, cwnd))
+                record((t, _ACKED_MARKED, pid, queue_bits, cwnd))
             else:
-                cwnd += ai / max(cwnd, 1.0)
-            log.append(
-                LogEntry(
-                    t, "ack", pid, queue_bits,
-                    ("marked " if was_marked else "") + f"cwnd={cwnd:.3f}",
-                )
-            )
+                # cwnd >= 1 here: an ACK needs initial_window >= 1, and every
+                # decrease stops at 1
+                cwnd += ai / cwnd
+                record((t, _ACKED, pid, queue_bits, cwnd))
             burst = int(cwnd + 1e-9) - in_flight
             if burst > 0 and t < horizon:
                 _check_packet_count(next_pid + burst)
@@ -217,12 +270,13 @@ def simulate_packets(config: PacketSimConfig) -> PacketSimResult:
 
     return PacketSimResult(
         config=config,
-        log=tuple(log),
-        queue_delay_series=tuple(delays),
-        peak_queue_delay=max((q for _, q in delays), default=0.0),
+        _log=log,
+        _dequeue_times=dequeue_times,
+        _sojourns=sojourns,
+        peak_queue_delay=max(sojourns, default=0.0),
         congestion_reached=congestion_seen,
         packets_sent=next_pid,
-        packets_delivered=len(delays),
+        packets_delivered=len(sojourns),
     )
 
 
@@ -250,13 +304,15 @@ def compare_to_bound(
     the link the comparison is vacuous.
     """
     d = check_seconds(signal_delay, "signal_delay")
-    post = [q for t, q in result.queue_delay_series if t >= event.onset]
-    if not post:
+    # dequeue times never decrease, so the dequeues at or after the onset
+    # are a suffix of the series
+    first = bisect_left(result._dequeue_times, event.onset)
+    if first == len(result._dequeue_times):
         raise ValueError(
             f"no dequeues at or after the event onset {event.onset!r}s; "
             "the simulation does not cover the event window"
         )
-    measured = max(post)
+    measured = max(result._sojourns[first:])
     bound = peak_delay_ramp(event.c_factor, d, event.ramp_duration)
     slack = result.config.packet_size / event.post_rate
     ratio = measured / bound if bound > 0.0 else None
@@ -265,6 +321,15 @@ def compare_to_bound(
 
 
 def event_log_to_csv(result: PacketSimResult) -> str:
-    lines = ["t_s,event_type,packet_id,queue_bits,detail"]
-    lines += [f"{e.t!r},{e.event},{e.packet_id},{e.queue_bits!r},{e.detail}" for e in result.log]
-    return "\n".join(lines) + "\n"
+    """The event log as CSV text, one row per record; times and queue bits
+    are written as ``repr`` of the float."""
+    log = result._log
+    bits = log[3::_RECORD]
+    # queue bits take few distinct values, so each is written once; equal
+    # values share one repr, as the count never reaches -0.0
+    bits_text = {q: repr(q) for q in set(bits)}
+    args = zip(log[0::_RECORD], log[2::_RECORD], map(bits_text.__getitem__, bits), log[4::_RECORD])
+    rows = "".join(map(_CSV_ROWS.__getitem__, log[1::_RECORD]))
+    return "t_s,event_type,packet_id,queue_bits,detail\n" + rows % tuple(
+        itertools.chain.from_iterable(args)
+    )

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import pickle
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -279,6 +281,49 @@ class TestBoundComparison:
             assert not cmp.violation, (c, d, pre, cmp)
 
 
+class TestResultStorage:
+    """The log and the series are stored as typed columns and built when read."""
+
+    def test_traced_bytes_per_packet(self):
+        # 25,661 packets and 77,423 log records; a tuple per record and a
+        # detail string per ACK cost about 625 bytes per packet
+        config = PacketSimConfig(make_step_trace(1e8, 2e7, 3.0, 6.0))
+        tracemalloc.start()
+        try:
+            result = simulate_packets(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.packets_sent == 25_661
+        assert peak / result.packets_sent <= 200, peak / result.packets_sent
+
+    def test_result_compares_hashes_pickles_and_replaces(self):
+        config = saturated_step_config(12e6, 5.0, 0.02, seed=3)
+        result = simulate_packets(config)
+        again = simulate_packets(config)
+        assert result == again
+        assert hash(result) == hash(again)
+        restored = pickle.loads(pickle.dumps(result))
+        assert restored == result
+        assert restored.log == result.log
+        assert restored.queue_delay_series == result.queue_delay_series
+        replaced = dataclasses.replace(result, congestion_reached=not result.congestion_reached)
+        assert replaced != result
+        assert replaced.log == result.log
+        assert replaced.queue_delay_series == result.queue_delay_series
+        assert result != simulate_packets(dataclasses.replace(config, seed=4))
+
+    def test_log_entries_carry_the_detail_text(self):
+        result = simulate_packets(saturated_step_config(12e6, 10.0, 0.02, seed=9))
+        lines = event_log_to_csv(result).splitlines()[1:]
+        assert [line.split(",")[-1] for line in lines] == [e.detail for e in result.log]
+        details = {(e.event, e.detail.split("=")[0]) for e in result.log}
+        assert details == {
+            ("enqueue", ""), ("dequeue", ""), ("dequeue", "marked"), ("mark", "sojourn"),
+            ("ack", "cwnd"), ("ack", "marked cwnd"), ("window", "decrease cwnd"),
+        }
+
+
 class TestValidation:
     def test_bad_aimd_params(self):
         with pytest.raises(ValueError):
@@ -302,6 +347,13 @@ class TestValidation:
         trace = make_step_trace(1e7, 1e6, 1.0, 2.0)
         with pytest.raises(ValueError, match="initial_window"):
             PacketSimConfig(trace, initial_window=window)
+
+    @pytest.mark.parametrize("seed", [None, 1.5, "3"])
+    def test_seed_must_be_a_whole_number(self, seed):
+        # random.Random(None) would seed from OS entropy and break repeatability
+        trace = make_step_trace(1e7, 1e6, 1.0, 2.0)
+        with pytest.raises(ValueError, match="seed"):
+            PacketSimConfig(trace, seed=seed)
 
     def test_packet_cap(self, monkeypatch):
         config = saturated_step_config(12e6, 5.0, 0.02, seed=3)
