@@ -355,7 +355,9 @@ def _simulate_aimd(args: argparse.Namespace, trace, sim_horizon: float | None) -
             fh.write(event_log_to_csv(result))
 
     series = args.format == "csv" or args.sample_ms is not None
-    return _write_run(args, summary, _AIMD_SERIES, result.queue_delay_series if series else None)
+    # the columns zipped: queue_delay_series would hold every row tuple at once
+    rows = zip(result._dequeue_times, result._sojourns) if series else None
+    return _write_run(args, summary, _AIMD_SERIES, rows)
 
 
 def _self_test_grid(grid) -> None:

@@ -4,9 +4,13 @@ A single flow crosses one FIFO bottleneck with an infinite buffer, so
 nothing is ever dropped; congestion is signaled purely by marking packets
 whose queue sojourn exceeds a threshold and echoing the mark on the ACK.
 On a marked ACK the sender multiplies its window once per round trip;
-otherwise it grows by ``additive_increase`` packets per round trip.  The
-event loop is keyed by (time, sequence), so equal configs and seeds
-produce bit-identical event logs.
+otherwise it grows by ``additive_increase`` packets per round trip.  Every
+event is keyed by (time, sequence) and runs in key order, so events at
+equal times run in the order they were scheduled, and equal configs and
+seeds produce bit-identical event logs.  The events come from three
+sources, each already in key order at its head: a slot for the one
+departure in service, a FIFO of ACKs, which return a constant delay after
+their departures, and a heap of packet arrivals.
 
 A run keeps its event log and its per-dequeue series as typed float
 columns and formats nothing while it runs; ``PacketSimResult.log``,
@@ -41,6 +45,8 @@ __all__ = [
 ]
 
 _ARRIVE, _DEPART, _ACK, _MARKED_ACK = 0, 1, 2, 3
+# The key of an empty event source: it sorts after every finite time
+_NO_EVENT = (math.inf, 0, _ARRIVE, 0)
 
 # A log record is _RECORD floats: (t, kind code, packet id, queue bits,
 # value), where the value is the sojourn of a mark record and cwnd of an
@@ -102,6 +108,14 @@ class PacketSimConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.packet_size) and self.packet_size > 0.0):
             raise ValueError(f"packet_size must be > 0 bits, got {self.packet_size!r}")
+        # no rate on the trace lies below its lowest breakpoint rate, so
+        # every service time is finite when this one is
+        lowest = min(bp.rate for bp in self.trace.breakpoints)
+        if not math.isfinite(self.packet_size / lowest):
+            raise ValueError(
+                f"packet_size {self.packet_size!r} bits has no finite service time "
+                f"at the trace's lowest rate {lowest!r} bit/s"
+            )
         check_seconds(self.forward_delay, "forward_delay")
         check_seconds(self.x_to_b_delay, "x_to_b_delay")
         check_seconds(self.reverse_delay, "reverse_delay")
@@ -165,7 +179,10 @@ def simulate_packets(config: PacketSimConfig) -> PacketSimResult:
     """Run the discrete-event loop up to the trace horizon.
 
     A packet's service time is packet_size / capacity at its service start,
-    held for the whole packet; the queue is work-conserving and FIFO.  A
+    held for the whole packet; the queue is work-conserving and FIFO.  Each
+    step runs the earliest of three pending events: the departure in
+    service, the oldest ACK in flight, and the earliest arrival, the only
+    kind that needs a heap; ties run in the order they were scheduled.  A
     run whose queue never holds a waiting packet before the first capacity
     reduction is flagged ``congestion_reached=False``: the sender never
     actually pressed against the link, so bound comparisons are vacuous and
@@ -185,9 +202,14 @@ def simulate_packets(config: PacketSimConfig) -> PacketSimResult:
     events = detect_events(trace)
     warm_end = events[0].onset if events else horizon
 
-    # Every packet's state lives in the heap key (t, seq, kind, packet id)
-    # or in the FIFO queue; seq is unique, so ties never compare the kind.
-    heap: list[tuple[float, int, int, int]] = []
+    # The three event sources, keyed (t, seq, kind, packet id); seq is
+    # unique, so ties never compare the kind.  The server holds one packet,
+    # so one departure at most is pending, and ACKs come back in the order
+    # they left; only arrivals, where the initial burst and the ACK-clocked
+    # sends interleave, need a heap.
+    departure: tuple[float, int, int, int] | None = None
+    acks: deque[tuple[float, int, int, int]] = deque()
+    arrivals: list[tuple[float, int, int, int]] = []
     seq = itertools.count()
     # (packet id, arrival time); the head is in service while it is there
     queue: deque[tuple[int, float]] = deque()
@@ -212,17 +234,26 @@ def simulate_packets(config: PacketSimConfig) -> PacketSimResult:
         t0 = k * spacing + rng.random() * spacing * 0.5
         if t0 >= horizon:
             break
-        heapq.heappush(heap, (t0 + fwd, next(seq), _ARRIVE, k))
+        heapq.heappush(arrivals, (t0 + fwd, next(seq), _ARRIVE, k))
         next_pid = in_flight = k + 1
 
-    while heap and heap[0][0] <= horizon:
-        t, _, kind, pid = heapq.heappop(heap)
+    while True:
+        event = arrivals[0] if arrivals else _NO_EVENT
+        if acks and acks[0] < event:
+            event = acks[0]
+        if departure is not None and departure < event:
+            event = departure
+        t, _, kind, pid = event
+        # not "t > horizon": a NaN time ends the run as well
+        if not t <= horizon:
+            break
         if kind == _ARRIVE:
+            heapq.heappop(arrivals)
             queue.append((pid, t))
             queue_bits += pkt
             record((t, _ENQUEUED, pid, queue_bits, 0.0))
             if len(queue) == 1:  # the server was idle
-                heapq.heappush(heap, (t + pkt / trace.capacity_at(t), next(seq), _DEPART, pid))
+                departure = (t + pkt / trace.capacity_at(t), next(seq), _DEPART, pid)
         elif kind == _DEPART:
             head, arrived = queue.popleft()
             assert head == pid  # FIFO service order
@@ -236,8 +267,9 @@ def simulate_packets(config: PacketSimConfig) -> PacketSimResult:
                         t, _MARKED, pid, queue_bits, sojourn))
             else:
                 record((t, _DEQUEUED, pid, queue_bits, 0.0))
-            ack = _MARKED_ACK if mark else _ACK
-            heapq.heappush(heap, (t + xb + rev, next(seq), ack, pid))
+            # departures never go back in time, so neither do the ACKs
+            acks.append((t + xb + rev, next(seq), _MARKED_ACK if mark else _ACK, pid))
+            departure = None
             if queue:
                 head, arrived = queue[0]
                 service = pkt / trace.capacity_at(t)
@@ -245,8 +277,9 @@ def simulate_packets(config: PacketSimConfig) -> PacketSimResult:
                 # behind others, not just the phase overlap of the initial burst
                 if t <= warm_end and t - arrived > service:
                     congestion_seen = True
-                heapq.heappush(heap, (t + service, next(seq), _DEPART, head))
+                departure = (t + service, next(seq), _DEPART, head)
         else:  # ACK back at the sender
+            acks.popleft()
             in_flight -= 1
             was_marked = kind == _MARKED_ACK
             if was_marked:
@@ -264,7 +297,7 @@ def simulate_packets(config: PacketSimConfig) -> PacketSimResult:
             if burst > 0 and t < horizon:
                 _check_packet_count(next_pid + burst)
                 for new_pid in range(next_pid, next_pid + burst):
-                    heapq.heappush(heap, (t + fwd, next(seq), _ARRIVE, new_pid))
+                    heapq.heappush(arrivals, (t + fwd, next(seq), _ARRIVE, new_pid))
                 next_pid += burst
                 in_flight += burst
 

@@ -14,6 +14,7 @@ import pytest
 from ccbound import __version__, cli
 from ccbound.bounds import peak_delay_ramp, peak_delay_step
 from ccbound.cli import main
+from ccbound.packetsim import PacketSimResult
 from ccbound.trace import trace_from_csv
 
 STEP_CSV = "0,100000000,hold\n1,10000000,hold\n5,10000000,hold\n"
@@ -189,6 +190,34 @@ class TestSimulate:
         assert code == 2
         assert out == ""
         assert "cap of 10000" in err
+
+    def test_aimd_subnormal_link_rate_exit_2(self, capsys, tmp_path):
+        # a 5e-324 b/s link serves no packet in finite time
+        path = tmp_path / "subnormal.csv"
+        path.write_text("0,5e-324,hold\n1,5e-324,hold\n")
+        code, out, err = run_cli(
+            capsys, "simulate", "--trace", str(path), "--controller", "aimd"
+        )
+        assert code == 2
+        assert out == ""
+        assert "12000.0" in err and "5e-324" in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_aimd_series_is_written_from_the_columns(self, capsys, monkeypatch, fmt):
+        # the writer zips the two columns; the tuple of row tuples that
+        # queue_delay_series builds would double a long run's peak memory
+        argv = ("simulate", "--scenario", "wifi-step", "--controller", "aimd",
+                "--format", fmt, "--sample-ms", "1")
+        _, expected, _ = run_cli(capsys, *argv)
+
+        def refuse(self):
+            raise AssertionError("queue_delay_series read")
+
+        monkeypatch.setattr(PacketSimResult, "queue_delay_series", property(refuse))
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == expected
+        assert len(out.splitlines()) > 1000
 
     def test_aimd_without_congestion_reports_no_violation(self, capsys):
         code, out, _ = run_cli(

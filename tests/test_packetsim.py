@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+import heapq
+import itertools
 import math
 import pickle
 import random
 import tracemalloc
+from array import array
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +21,7 @@ from ccbound.bounds import peak_delay_step
 from ccbound.packetsim import (
     AimdParams,
     PacketSimConfig,
+    PacketSimResult,
     compare_to_bound,
     event_log_to_csv,
     simulate_packets,
@@ -164,6 +169,115 @@ class TestLindleyReference:
         )
 
 
+def all_heap_reference(config):
+    """The event loop with every event in one heap keyed (t, seq, kind, id),
+    so events at equal times run in the order they were scheduled."""
+    trace, horizon, pkt = config.trace, config.trace.horizon, config.packet_size
+    fwd, xb, rev = config.forward_delay, config.x_to_b_delay, config.reverse_delay
+    rng = random.Random(config.seed)
+    events = detect_events(trace)
+    warm_end = events[0].onset if events else horizon
+    heap, seq, queue = [], itertools.count(), deque()
+    queue_bits, cwnd = 0.0, float(config.initial_window)
+    in_flight = next_pid = recovery_end_pid = 0
+    congestion_seen = False
+    log, dequeue_times, sojourns = array("d"), array("d"), array("d")
+    arrive, depart, ack, marked_ack = range(4)
+    spacing = pkt / trace.capacity_at(0.0)
+    for k in range(config.initial_window):
+        t0 = k * spacing + rng.random() * spacing * 0.5
+        if t0 >= horizon:
+            break
+        heapq.heappush(heap, (t0 + fwd, next(seq), arrive, k))
+        next_pid = in_flight = k + 1
+    while heap and heap[0][0] <= horizon:
+        t, _, kind, pid = heapq.heappop(heap)
+        if kind == arrive:
+            queue.append((pid, t))
+            queue_bits += pkt
+            log.extend((t, packetsim._ENQUEUED, pid, queue_bits, 0.0))
+            if len(queue) == 1:
+                heapq.heappush(heap, (t + pkt / trace.capacity_at(t), next(seq), depart, pid))
+        elif kind == depart:
+            _, arrived = queue.popleft()
+            queue_bits -= pkt
+            sojourn = t - arrived
+            dequeue_times.append(t)
+            sojourns.append(sojourn)
+            mark = sojourn > config.mark_threshold
+            if mark:
+                log.extend((t, packetsim._DEQUEUED_MARKED, pid, queue_bits, 0.0,
+                            t, packetsim._MARKED, pid, queue_bits, sojourn))
+            else:
+                log.extend((t, packetsim._DEQUEUED, pid, queue_bits, 0.0))
+            heapq.heappush(heap, (t + xb + rev, next(seq), marked_ack if mark else ack, pid))
+            if queue:
+                head, arrived = queue[0]
+                service = pkt / trace.capacity_at(t)
+                if t <= warm_end and t - arrived > service:
+                    congestion_seen = True
+                heapq.heappush(heap, (t + service, next(seq), depart, head))
+        else:
+            in_flight -= 1
+            if kind == marked_ack:
+                if pid >= recovery_end_pid:
+                    cwnd = max(1.0, cwnd * config.aimd.multiplicative_decrease)
+                    recovery_end_pid = next_pid
+                    log.extend((t, packetsim._WINDOW, pid, queue_bits, cwnd))
+                log.extend((t, packetsim._ACKED_MARKED, pid, queue_bits, cwnd))
+            else:
+                cwnd += config.aimd.additive_increase / cwnd
+                log.extend((t, packetsim._ACKED, pid, queue_bits, cwnd))
+            burst = int(cwnd + 1e-9) - in_flight
+            if burst > 0 and t < horizon:
+                for new_pid in range(next_pid, next_pid + burst):
+                    heapq.heappush(heap, (t + fwd, next(seq), arrive, new_pid))
+                next_pid += burst
+                in_flight += burst
+    return PacketSimResult(config, log, dequeue_times, sojourns, max(sojourns, default=0.0),
+                           congestion_seen, next_pid, len(sojourns))
+
+
+@st.composite
+def tied_aimd_configs(draw):
+    """An AIMD run whose event times tie exactly.
+
+    Rates, packet sizes and breakpoint times are powers of two or dyadic
+    fractions, and every delay is 0 or 2^-k, so a departure, an ACK and an
+    ACK-clocked arrival often fall on the very same float.
+    """
+    dyadic_delay = st.sampled_from([0.0] + [2.0 ** -k for k in range(2, 9)])
+    times = draw(st.lists(st.integers(1, 7), max_size=3, unique=True))
+    steps = [0, *sorted(times)]
+    return PacketSimConfig(
+        CapacityTrace(
+            tuple(Breakpoint(k / 8.0, 2.0 ** draw(st.integers(16, 19))) for k in steps), 1.0
+        ),
+        packet_size=2.0 ** draw(st.integers(12, 14)),
+        forward_delay=draw(dyadic_delay),
+        x_to_b_delay=draw(dyadic_delay),
+        reverse_delay=draw(dyadic_delay),
+        aimd=AimdParams(draw(st.sampled_from([0.5, 1.0, 2.0])),
+                        draw(st.sampled_from([0.25, 0.5, 0.75]))),
+        mark_threshold=draw(dyadic_delay),
+        initial_window=draw(st.integers(0, 40)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+class TestTieOrder:
+    """Events at equal times run in the order they were scheduled, as in one
+    heap keyed (t, seq): checked against that heap on runs full of ties."""
+
+    @given(config=tied_aimd_configs())
+    @settings(max_examples=300, deadline=None)
+    def test_log_and_fields_equal_the_all_heap_loop(self, config):
+        result = simulate_packets(config)
+        expected = all_heap_reference(config)
+        assert event_log_to_csv(result) == event_log_to_csv(expected)
+        assert result == expected
+
+
 class TestQueryCount:
     def test_one_capacity_query_per_service_start(self, monkeypatch):
         # deterministic cost check: one query per service start plus the
@@ -181,6 +295,24 @@ class TestQueryCount:
         result = simulate_packets(config)
         assert result.packets_delivered > 0
         assert calls <= result.packets_delivered + 2, (calls, result.packets_delivered)
+
+
+    def test_only_arrivals_go_through_the_heap(self, monkeypatch):
+        # the one pending departure sits in a slot and the ACKs in a FIFO,
+        # so the heap sees one push per packet sent
+        config = saturated_step_config(12e6, 5.0, 0.02, seed=3)
+        heappush = packetsim.heapq.heappush
+        pushes = 0
+
+        def counted(heap, item):
+            nonlocal pushes
+            pushes += 1
+            heappush(heap, item)
+
+        monkeypatch.setattr(packetsim.heapq, "heappush", counted)
+        result = simulate_packets(config)
+        assert result.packets_delivered > 0
+        assert pushes == result.packets_sent, (pushes, result.packets_sent)
 
 
 class TestSawtooth:
@@ -341,6 +473,18 @@ class TestValidation:
             PacketSimConfig(trace, forward_delay=-0.001)
         with pytest.raises(ValueError):
             PacketSimConfig(trace, initial_window=-1)
+
+    def test_service_time_must_be_finite(self):
+        # 12000 / 5e-324 overflows to inf, and the initial burst would start
+        # at 0 * inf = NaN
+        subnormal = CapacityTrace((Breakpoint(0.0, 5e-324), Breakpoint(1.0, 5e-324)), 1.0)
+        with pytest.raises(ValueError, match=r"packet_size 12000\.0 .* 5e-324 bit/s"):
+            PacketSimConfig(subnormal)
+        # 12000 / 1e-300 is 1.2e304 s: finite, so the run is valid
+        slow = CapacityTrace((Breakpoint(0.0, 1e8), Breakpoint(0.5, 1e-300)), 0.5)
+        result = simulate_packets(PacketSimConfig(slow))
+        assert 0 < result.packets_delivered < result.packets_sent
+        assert math.isfinite(result.peak_queue_delay)
 
     @pytest.mark.parametrize("window", [2.5, math.nan, 3.0, "4"])
     def test_initial_window_must_be_a_whole_number(self, window):
