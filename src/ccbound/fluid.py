@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import pairwise
 from typing import NamedTuple
 
@@ -177,6 +177,40 @@ def sender_rate_trace(config: SimConfig) -> CapacityTrace:
     return _shifted_trace(config.trace, config.controller.signal_delay, config.horizon)
 
 
+def _piece_value(t0: float, q0: float, q1: float, q2: float, t: float) -> float:
+    """Backlog at ``t`` of the piece q0 + q1*dt + q2*dt^2, dt = t - t0,
+    clamped at zero."""
+    dt = t - t0
+    v = q0 + (q1 + q2 * dt) * dt
+    return v if v > 0.0 else 0.0
+
+
+def _piece_vertex(length: float, q1: float, q2: float) -> float | None:
+    """Offset from the piece's start of its backlog maximum when that lies
+    strictly inside the piece, else None."""
+    if q2 < 0.0:
+        dtv = -q1 / (2.0 * q2)
+        if 0.0 < dtv < length:
+            return dtv
+    return None
+
+
+def _piece_max(
+    t0: float, t1: float, q0: float, q1: float, q2: float, dtv: float | None
+) -> tuple[float, float]:
+    """(backlog, time) of the piece's maximum on [t0, t1], given its
+    ``_piece_vertex``; earliest time wins ties."""
+    best_v, best_t = q0, t0
+    if dtv is not None:
+        vv = q0 + (q1 + q2 * dtv) * dtv
+        if vv > best_v:
+            best_v, best_t = vv, t0 + dtv
+    end_v = _piece_value(t0, q0, q1, q2, t1)
+    if end_v > best_v:
+        best_v, best_t = end_v, t1
+    return best_v, best_t
+
+
 @dataclass(frozen=True)
 class BacklogSegment:
     """Backlog on [t_start, t_end]: b(t) = c0 + c1*dt + c2*dt^2, dt = t - t_start."""
@@ -188,31 +222,12 @@ class BacklogSegment:
     c2: float
 
     def value_at(self, t: float) -> float:
-        dt = t - self.t_start
-        v = self.c0 + (self.c1 + self.c2 * dt) * dt
-        return v if v > 0.0 else 0.0
-
-    def _interior_vertex(self) -> float | None:
-        """Offset from ``t_start`` of the backlog's maximum when it lies
-        strictly inside the segment, else None."""
-        if self.c2 < 0.0:
-            dtv = -self.c1 / (2.0 * self.c2)
-            if 0.0 < dtv < self.t_end - self.t_start:
-                return dtv
-        return None
+        return _piece_value(self.t_start, self.c0, self.c1, self.c2, t)
 
     def max_on_segment(self) -> tuple[float, float]:
         """(backlog, time) of the segment maximum; earliest time wins ties."""
-        best_v, best_t = self.c0, self.t_start
-        dtv = self._interior_vertex()
-        if dtv is not None:
-            vv = self.c0 + (self.c1 + self.c2 * dtv) * dtv
-            if vv > best_v:
-                best_v, best_t = vv, self.t_start + dtv
-        end_v = self.value_at(self.t_end)
-        if end_v > best_v:
-            best_v, best_t = end_v, self.t_end
-        return best_v, best_t
+        dtv = _piece_vertex(self.t_end - self.t_start, self.c1, self.c2)
+        return _piece_max(self.t_start, self.t_end, self.c0, self.c1, self.c2, dtv)
 
 
 @dataclass(frozen=True)
@@ -222,8 +237,11 @@ class FluidResult:
     ``segments`` tile [0, horizon]: the first starts at 0, each ends where
     the next starts, and the last ends at the horizon.  Nothing is lost, so
     ``bits_in - bits_out`` equals the final backlog ``backlog_at(horizon)``
-    up to rounding.  ``events`` are the trace's reductions with an onset
-    before the horizon, the only ones the run simulates.
+    up to rounding.  The pieces are stored as five float columns, and
+    ``segments`` builds a tuple of :class:`BacklogSegment` from them on
+    each read, so a caller that walks it more than once binds it once.
+    ``events`` are the trace's reductions with an onset before the
+    horizon, the only ones the run simulates.
 
     ``peak_delay_final_norm`` is the peak backlog divided by the rate after
     the reduction that caused it (the capacity at the peak instant when no
@@ -234,7 +252,6 @@ class FluidResult:
     evaluated and are skipped, with ``fifo_beyond_horizon`` set.
     """
 
-    segments: tuple[BacklogSegment, ...]
     peak_backlog: float
     peak_time: float
     peak_delay_final_norm: float
@@ -246,39 +263,49 @@ class FluidResult:
     trace: CapacityTrace
     events: tuple[CapacityEvent, ...]
     horizon: float
+    # The pieces in time order, one column per BacklogSegment field.
+    _t_start: tuple[float, ...] = field(repr=False)
+    _t_end: tuple[float, ...] = field(repr=False)
+    _q0: tuple[float, ...] = field(repr=False)
+    _q1: tuple[float, ...] = field(repr=False)
+    _q2: tuple[float, ...] = field(repr=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_starts", tuple(s.t_start for s in self.segments))
+    @property
+    def segments(self) -> tuple[BacklogSegment, ...]:
+        """The backlog pieces in time order, built from the columns on each read."""
+        return tuple(map(BacklogSegment, self._t_start, self._t_end, self._q0, self._q1, self._q2))
 
     def backlog_at(self, t: float) -> float:
         """Exact backlog in bits at ``t`` in [0, horizon]."""
         t = float(t)
         if not 0.0 <= t <= self.horizon:
             raise ValueError(f"t={t!r} outside [0, {self.horizon!r}]")
-        i = bisect_right(self._starts, t) - 1  # type: ignore[attr-defined]
-        return self.segments[i].value_at(t)
+        i = bisect_right(self._t_start, t) - 1
+        return _piece_value(self._t_start[i], self._q0[i], self._q1[i], self._q2[i], t)
 
 
 def _first_zero_crossing(q0: float, q1: float, q2: float, length: float) -> float | None:
     """Smallest x in (0, length] where q0 + q1*x + q2*x^2 crosses zero from
     above (derivative negative there); None if the backlog stays positive."""
-    roots: list[float] = []
     if q2 == 0.0:
         if q1 < 0.0 and q0 > 0.0:
-            roots.append(-q0 / q1)
-    else:
-        disc = q1 * q1 - 4.0 * q2 * q0
-        if disc >= 0.0:
-            s = math.sqrt(disc)
-            qq = -0.5 * (q1 + s) if q1 >= 0.0 else -0.5 * (q1 - s)
-            roots.append(qq / q2)
-            if qq != 0.0:
-                roots.append(q0 / qq)
+            x = -q0 / q1
+            if 0.0 < x <= length and q1 + 2.0 * q2 * x < 0.0:
+                return x
+        return None
+    disc = q1 * q1 - 4.0 * q2 * q0
+    if not disc >= 0.0:
+        return None
+    s = math.sqrt(disc)
+    qq = -0.5 * (q1 + s) if q1 >= 0.0 else -0.5 * (q1 - s)
     best: float | None = None
-    for x in roots:
-        if 0.0 < x <= length and q1 + 2.0 * q2 * x < 0.0:
-            if best is None or x < best:
-                best = x
+    x = qq / q2
+    if 0.0 < x <= length and q1 + 2.0 * q2 * x < 0.0:
+        best = x
+    if qq != 0.0:
+        x = q0 / qq
+        if 0.0 < x <= length and q1 + 2.0 * q2 * x < 0.0 and (best is None or x < best):
+            best = x
     return best
 
 
@@ -303,7 +330,19 @@ def simulate_fluid(config: SimConfig) -> FluidResult:
         cuts.update(t for t in src.times if 0.0 < t < h)
     grid = sorted(cuts)
 
-    segs: list[BacklogSegment] = []
+    starts: list[float] = []
+    ends: list[float] = []
+    q0s: list[float] = []
+    q1s: list[float] = []
+    q2s: list[float] = []
+    # Candidate instants for the worst FIFO wait: piece starts plus
+    # interior backlog maxima, and the horizon.  This is only a lower
+    # envelope of the true peak: where later backlog cannot drain before
+    # the horizon, the worst instant that still drains can lie inside a
+    # piece and is missed, until each cell's wait is maximised exactly
+    # (ROADMAP, exact peak FIFO).
+    candidates: list[tuple[float, float]] = []
+    peak_b, peak_t = 0.0, 0.0
     b = 0.0
     bits_out = 0.0
     for u, v in pairwise(grid):
@@ -319,7 +358,8 @@ def simulate_fluid(config: SimConfig) -> FluidResult:
             f_cur = (a0 - c0) + g * (cur - u)
             if abs(f_cur) <= noise:
                 f_cur = 0.0
-            if b > 0.0 or f_cur > 0.0 or (f_cur == 0.0 and g > 0.0):
+            busy = b > 0.0 or f_cur > 0.0 or (f_cur == 0.0 and g > 0.0)
+            if busy:
                 # busy: the queue absorbs the arrival/capacity difference
                 q0, q1, q2, served = b, f_cur, 0.5 * g, trace
                 length = v - cur
@@ -341,15 +381,24 @@ def simulate_fluid(config: SimConfig) -> FluidResult:
                 # in the current state carries cur past the flip, so the next
                 # step sees the new state and the rest of the cell is solved
                 end = math.nextafter(cur, v)
-            segs.append(BacklogSegment(cur, end, q0, q1, q2))
+            starts.append(cur)
+            ends.append(end)
+            q0s.append(q0)
+            q1s.append(q1)
+            q2s.append(q2)
+            if busy:
+                dtv = _piece_vertex(end - cur, q1, q2)
+                val, at = _piece_max(cur, end, q0, q1, q2, dtv)
+                if val > peak_b:  # the earliest maximum wins ties
+                    peak_b, peak_t = val, at
+                candidates.append((cur, _piece_value(cur, q0, q1, q2, cur)))
+                if dtv is not None:
+                    candidates.append((cur + dtv, _piece_value(cur, q0, q1, q2, cur + dtv)))
+            else:
+                # an idle piece is zero throughout: no peak, one candidate
+                candidates.append((cur, 0.0))
             bits_out += served.integrate(cur, end)
             cur = end
-
-    peak_b, peak_t = 0.0, 0.0
-    for seg in segs:
-        val, at = seg.max_on_segment()
-        if val > peak_b:
-            peak_b, peak_t = val, at
 
     norm_rate: float | None = None
     for ev in events:
@@ -358,20 +407,9 @@ def simulate_fluid(config: SimConfig) -> FluidResult:
     if norm_rate is None:
         norm_rate = trace.capacity_at(peak_t)
 
-    # Candidate instants for the worst FIFO wait: segment boundaries plus
-    # interior backlog maxima.  This is only a lower envelope of the true
-    # peak: where later backlog cannot drain before the horizon, the worst
-    # instant that still drains can lie inside a segment and is missed,
-    # until each cell's wait is maximised exactly (ROADMAP, exact peak FIFO).
     peak_fifo = 0.0
     fifo_censored = False
-    candidates: list[tuple[float, float]] = []
-    for seg in segs:
-        candidates.append((seg.t_start, seg.value_at(seg.t_start)))
-        dtv = seg._interior_vertex()
-        if dtv is not None:
-            candidates.append((seg.t_start + dtv, seg.value_at(seg.t_start + dtv)))
-    candidates.append((h, segs[-1].value_at(h)))
+    candidates.append((h, _piece_value(starts[-1], q0, q1, q2, h)))
     for delta in trace.drain_times(candidates):  # candidates ascend in t
         if delta is None:
             fifo_censored = True
@@ -379,7 +417,6 @@ def simulate_fluid(config: SimConfig) -> FluidResult:
             peak_fifo = delta
 
     return FluidResult(
-        segments=tuple(segs),
         peak_backlog=peak_b,
         peak_time=peak_t,
         peak_delay_final_norm=peak_b / norm_rate,
@@ -391,6 +428,11 @@ def simulate_fluid(config: SimConfig) -> FluidResult:
         trace=trace,
         events=events,
         horizon=h,
+        _t_start=tuple(starts),
+        _t_end=tuple(ends),
+        _q0=tuple(q0s),
+        _q1=tuple(q1s),
+        _q2=tuple(q2s),
     )
 
 
@@ -424,8 +466,10 @@ def sample_result(result: FluidResult, step: float) -> list[FluidSample]:
 
     Each sample holds ``backlog_at(t)``, that over ``final_norm_rate`` and
     ``fifo_delay_at(t)`` (NaN for None), bit for bit, from one forward
-    sweep: the instants ascend, so a cursor over the backlog segments
-    stands in for ``backlog_at``'s bisection, and
+    sweep: the instants ascend, so a cursor over the result's piece
+    columns stands in for ``backlog_at``'s bisection (it moves to the last
+    piece starting at or before each instant and reads that piece's
+    coefficients, with no :class:`BacklogSegment` built), and
     :meth:`CapacityTrace.drain_times` answers the FIFO waits with
     bisections that start where the previous sample's landed and without
     the per-query checks.  Sampling is presentation only:
@@ -450,14 +494,14 @@ def sample_result(result: FluidResult, step: float) -> list[FluidSample]:
         k += 1
     if ts[-1] != h and t - h < step * 1e-9:  # the next grid point is the horizon
         ts.append(h)
-    segs, starts = result.segments, result._starts  # type: ignore[attr-defined]
-    last = len(segs) - 1
+    starts, q0s, q1s, q2s = result._t_start, result._q0, result._q1, result._q2
+    last = len(starts) - 1
     s = 0
     backlogs: list[float] = []
     for t in ts:
         while s < last and starts[s + 1] <= t:
             s += 1
-        backlogs.append(segs[s].value_at(t))
+        backlogs.append(_piece_value(starts[s], q0s[s], q1s[s], q2s[s], t))
     norm = result.final_norm_rate
     delays = [b / norm for b in backlogs]
     fifos = [math.nan if f is None else f for f in result.trace.drain_times(zip(ts, backlogs))]

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import io
 import json
 import math
+import pickle
 import random
+from bisect import bisect_right
 from collections import Counter
 
 import numpy as np
@@ -19,6 +23,7 @@ from ccbound import trace as trace_module
 from ccbound.bounds import peak_delay_ramp, peak_delay_step
 from ccbound.cli import main
 from ccbound.fluid import (
+    BacklogSegment,
     FixedRate,
     ModelViolationError,
     OracleFinal,
@@ -518,6 +523,83 @@ class TestQueryCount:
         assert small["drain_times"] > 0 and large["drain_times"] > 0
         assert sum(large.values()) <= 4.5 * sum(small.values()), (small, large)
 
+    def test_solve_and_sampling_build_no_segment_objects(self, monkeypatch):
+        built = Counter()
+        init = BacklogSegment.__init__
+
+        def counted(self, *args, **kwargs):
+            built["BacklogSegment"] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(BacklogSegment, "__init__", counted)
+        config = SimConfig(make_ramp_trace(1e8, 1e7, 1.0, 0.4, 5.0), FixedRate(5e7))
+        result = simulate_fluid(config)
+        sample_result(result, 0.01)
+        result.backlog_at(2.5)
+        assert built["BacklogSegment"] == 0
+        # the counter sees the pieces once they are asked for
+        segments = result.segments
+        assert built["BacklogSegment"] == len(segments) > 1
+
+
+def storage_configs():
+    """Runs whose backlog pieces are pinned by digest: a step, a ramp, a
+    300-breakpoint random walk that goes busy and idle, and ms-scale
+    breakpoints at t = 1000 s, where one ulp is about 1e-13 s."""
+    rng = random.Random(13)
+    walk, t = [], 0.0
+    for k in range(300):
+        mode = rng.choice((SegmentMode.HOLD, SegmentMode.LINEAR)) if k < 299 else SegmentMode.HOLD
+        walk.append(Breakpoint(t, rng.uniform(1e7, 1e8), mode))
+        t += rng.uniform(0.005, 0.015)
+    late = CapacityTrace((Breakpoint(0.0, 1e8), Breakpoint(1000.0, 5e7, SegmentMode.LINEAR),
+                          Breakpoint(1000.003, 2e8), Breakpoint(1000.004, 1e7)), 1000.01)
+    return [
+        SimConfig(make_step_trace(1e8, 1e7, 1.0, 5.0), OracleFinal(0.017)),
+        SimConfig(make_ramp_trace(1e8, 1e7, 1.0, 0.4, 5.0), OracleTracking(0.1)),
+        SimConfig(CapacityTrace(tuple(walk), t), FixedRate(6e7)),
+        SimConfig(late, OracleTracking(0.002)),
+    ]
+
+
+class TestResultStorage:
+    """The pieces are stored as columns and built into segments when read."""
+
+    def test_segments_equal_the_pinned_pieces(self):
+        # the digest of every piece's five fields, as the solver built them
+        # when it stored a BacklogSegment per piece
+        digest = hashlib.sha256()
+        counts = []
+        for config in storage_configs():
+            segments = simulate_fluid(config).segments
+            assert type(segments) is tuple
+            assert all(type(seg) is BacklogSegment for seg in segments)
+            counts.append(len(segments))
+            for seg in segments:
+                fields = (seg.t_start, seg.t_end, seg.c0, seg.c1, seg.c2)
+                digest.update(" ".join(map(float.hex, fields)).encode() + b"\n")
+        assert counts == [3, 6, 304, 9]
+        assert digest.hexdigest() == (
+            "dff316d069694e8bec9e4f76ea0d9f885cdaad618ebe49766f8bb80755b320f4"
+        )
+
+    def test_result_compares_hashes_pickles_and_replaces(self):
+        config = SimConfig(make_ramp_trace(1e8, 1e7, 1.0, 0.4, 5.0), OracleFinal(0.1))
+        result = simulate_fluid(config)
+        again = simulate_fluid(config)
+        assert result == again
+        assert hash(result) == hash(again)
+        restored = pickle.loads(pickle.dumps(result))
+        assert restored == result
+        assert restored.segments == result.segments
+        replaced = dataclasses.replace(result, fifo_beyond_horizon=not result.fifo_beyond_horizon)
+        assert replaced != result
+        assert replaced.segments == result.segments
+        assert replaced.backlog_at(1.05) == result.backlog_at(1.05)
+        other = simulate_fluid(SimConfig(config.trace, OracleFinal(0.2)))
+        assert other != result
+        assert other.segments != result.segments
+
 
 class TestEventsOnce:
     def test_a_trace_finds_its_events_once(self, monkeypatch):
@@ -674,6 +756,99 @@ class TestSamplingDifferential:
         assert len(samples) == 33
         if isinstance(controller, FixedRate):
             assert math.isnan(samples[-1].fifo_delay)
+
+
+def segment_reference(result):
+    """Peak backlog, peak time, peak FIFO wait and censoring recomputed from
+    ``result.segments`` alone: the earliest maximum over the segments'
+    ``max_on_segment``, and the worst drain time over every segment start,
+    every interior backlog maximum and the horizon."""
+    segs = result.segments
+    peak_b, peak_t = 0.0, 0.0
+    for seg in segs:
+        val, at = seg.max_on_segment()
+        if val > peak_b:
+            peak_b, peak_t = val, at
+    candidates = []
+    for seg in segs:
+        candidates.append((seg.t_start, seg.value_at(seg.t_start)))
+        if seg.c2 < 0.0:
+            dtv = -seg.c1 / (2.0 * seg.c2)
+            if 0.0 < dtv < seg.t_end - seg.t_start:
+                candidates.append((seg.t_start + dtv, seg.value_at(seg.t_start + dtv)))
+    candidates.append((result.horizon, segs[-1].value_at(result.horizon)))
+    peak_fifo, censored = 0.0, False
+    for wait in result.trace.drain_times(candidates):
+        if wait is None:
+            censored = True
+        elif wait > peak_fifo:
+            peak_fifo = wait
+    return peak_b, peak_t, peak_fifo, censored
+
+
+def segment_backlog(segs, t):
+    """Backlog at ``t`` read off the segment that holds it."""
+    return segs[bisect_right([seg.t_start for seg in segs], t) - 1].value_at(t)
+
+
+class TestSegmentDifferential:
+    """The statistics the solver takes as it builds each piece, and the
+    reads from its columns, against the same taken from the segments."""
+
+    @pytest.mark.parametrize("kind", [FixedRate, OracleTracking, OracleFinal])
+    @given(
+        trace=st.one_of(close_traces(), late_traces()),
+        knob=st.floats(0.0, 1.0),
+        m=st.integers(1, 300),
+        fractions=st.lists(st.floats(0.0, 1.0), max_size=8),
+    )
+    # a backlog plateau over pieces in three cells: peak ties at 1.5, 2.0
+    # and 2.5 s under both oracles (signal delay 0.5 s)
+    @example(
+        trace=CapacityTrace((Breakpoint(0.0, 1e8), Breakpoint(1.0, 5e7), Breakpoint(2.0, 5e7)), 3.0),
+        knob=0.25, m=30, fractions=[],
+    )
+    # under FixedRate at 5e7 the backlog peaks inside its piece, where the
+    # worst FIFO wait is, and drains before the ramp ends
+    @example(
+        trace=CapacityTrace((Breakpoint(0.0, 1e7, SegmentMode.LINEAR), Breakpoint(1.0, 1e8)), 3.0),
+        knob=1 / 6, m=30, fractions=[0.1],
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_statistics_and_reads_equal_the_segment_reference(self, kind, trace, knob, m, fractions):
+        if kind is FixedRate:
+            peak = max(bp.rate for bp in trace.breakpoints)
+            controller = FixedRate((0.2 + 1.8 * knob) * peak)
+        else:
+            controller = kind(2.0 * knob)
+        try:
+            config = SimConfig(trace, controller)
+        except ModelViolationError:  # overlapping OracleFinal signal windows
+            assume(False)
+        result = simulate_fluid(config)
+        h = result.horizon
+        segs = result.segments
+        got = (result.peak_backlog, result.peak_time, result.peak_fifo_delay)
+        *expected, censored = segment_reference(result)
+        assert tuple(map(float.hex, got)) == tuple(map(float.hex, expected))
+        assert result.fifo_beyond_horizon is censored
+        instants = [0.0, h, *(seg.t_start for seg in segs), *(seg.t_end for seg in segs),
+                    *(min(f * h, h) for f in fractions)]
+        for t in instants:
+            assert result.backlog_at(t).hex() == segment_backlog(segs, t).hex(), t
+        step = h / m
+        assume(step > 0.0)  # h / m underflows on a horizon of a few subnormals
+        ts = sample_instants(h, step)
+        backlogs = [segment_backlog(segs, t) for t in ts]
+        waits = result.trace.drain_times(zip(ts, backlogs))
+        reference = [
+            (t, b, b / result.final_norm_rate, math.nan if w is None else w)
+            for t, b, w in zip(ts, backlogs, waits)
+        ]
+        samples = sample_result(result, step)
+        assert [tuple(map(float.hex, s)) for s in samples] == [
+            tuple(map(float.hex, r)) for r in reference
+        ]
 
 
 class TestSerialization:
