@@ -330,11 +330,7 @@ def simulate_fluid(config: SimConfig) -> FluidResult:
         cuts.update(t for t in src.times if 0.0 < t < h)
     grid = sorted(cuts)
 
-    starts: list[float] = []
-    ends: list[float] = []
-    q0s: list[float] = []
-    q1s: list[float] = []
-    q2s: list[float] = []
+    starts, ends, q0s, q1s, q2s = [], [], [], [], []
     # Candidate instants for the worst FIFO wait: piece starts plus
     # interior backlog maxima, and the horizon.  This is only a lower
     # envelope of the true peak: where later backlog cannot drain before
@@ -358,8 +354,7 @@ def simulate_fluid(config: SimConfig) -> FluidResult:
             f_cur = (a0 - c0) + g * (cur - u)
             if abs(f_cur) <= noise:
                 f_cur = 0.0
-            busy = b > 0.0 or f_cur > 0.0 or (f_cur == 0.0 and g > 0.0)
-            if busy:
+            if b > 0.0 or f_cur > 0.0 or (f_cur == 0.0 and g > 0.0):
                 # busy: the queue absorbs the arrival/capacity difference
                 q0, q1, q2, served = b, f_cur, 0.5 * g, trace
                 length = v - cur
@@ -386,17 +381,13 @@ def simulate_fluid(config: SimConfig) -> FluidResult:
             q0s.append(q0)
             q1s.append(q1)
             q2s.append(q2)
-            if busy:
-                dtv = _piece_vertex(end - cur, q1, q2)
-                val, at = _piece_max(cur, end, q0, q1, q2, dtv)
-                if val > peak_b:  # the earliest maximum wins ties
-                    peak_b, peak_t = val, at
-                candidates.append((cur, _piece_value(cur, q0, q1, q2, cur)))
-                if dtv is not None:
-                    candidates.append((cur + dtv, _piece_value(cur, q0, q1, q2, cur + dtv)))
-            else:
-                # an idle piece is zero throughout: no peak, one candidate
-                candidates.append((cur, 0.0))
+            dtv = _piece_vertex(end - cur, q1, q2)
+            val, at = _piece_max(cur, end, q0, q1, q2, dtv)
+            if val > peak_b:  # the earliest maximum wins ties
+                peak_b, peak_t = val, at
+            candidates.append((cur, _piece_value(cur, q0, q1, q2, cur)))
+            if dtv is not None:
+                candidates.append((cur + dtv, _piece_value(cur, q0, q1, q2, cur + dtv)))
             bits_out += served.integrate(cur, end)
             cur = end
 
