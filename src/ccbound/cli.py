@@ -152,14 +152,14 @@ def _csv(columns: tuple[str, ...], rows, cell) -> str:
     return buf.getvalue()
 
 
-def _json_series(columns: tuple[str, ...], rows) -> str:
-    """``rows`` (tuples in SI ``columns`` order) as the list that
-    ``json.dumps(indent=2, sort_keys=True)`` writes at ``results.series``:
-    one object per row, keys in CLI units and sorted, each value its
-    ``repr`` (json's spelling of a float) and NaN as null."""
+def _json_series(columns: tuple[str, ...], series) -> str:
+    """``series`` (one value sequence per SI ``columns`` entry) as the list
+    that ``json.dumps(indent=2, sort_keys=True)`` writes at
+    ``results.series``: one object per row, keys in CLI units and sorted,
+    each value its ``repr`` (json's spelling of a float) and NaN as null."""
     names, scales = zip(*map(_cli_name, columns))
-    values = list(zip(*rows))  # one tuple per column
-    if not values:
+    values = list(series)
+    if not values or not len(values[0]):
         return "[]"
     order = sorted(range(len(names)), key=names.__getitem__)
     # the list sits at depth 2 of the envelope: rows at 6 spaces, keys at 8
@@ -171,30 +171,38 @@ def _json_series(columns: tuple[str, ...], rows) -> str:
     return "[\n" + ",\n".join(map(item.__mod__, zip(*cells))) + "\n    ]"
 
 
-def _write_run(args: argparse.Namespace, summary: dict, columns: tuple[str, ...], rows) -> int:
-    """Write a simulate run's SI summary and series ``rows`` (tuples in
-    ``columns`` order; None for a JSON run without a series) in CLI units.
+def _columns(rows):
+    """The columns of ``rows``, one tuple each, transposed when first read.
+    A generator, so the rows and the transposing zip are freed once the
+    columns are taken, not held by the caller until its writer is done."""
+    yield from zip(*rows)
+
+
+def _write_run(args: argparse.Namespace, summary: dict, columns: tuple[str, ...], series) -> int:
+    """Write a simulate run's SI summary and ``series`` (one value sequence
+    per ``columns`` entry; None for a JSON run without a series) in CLI
+    units.
 
     The JSON text is byte for byte ``json.dumps(doc, indent=2,
     sort_keys=True) + "\n"`` of the envelope whose ``results.series`` holds
     one dict per row (NaN as None), but no dict is built: the envelope is
     encoded around a placeholder, and the rows are formatted straight from
-    the tuples by :func:`_json_series` and spliced in its place.
+    the columns by :func:`_json_series` and spliced in its place.
     """
     summary = _cli_units(summary)
     if args.format == "csv":
-        _emit(_csv(columns, rows, truediv), args.out)
+        _emit(_csv(columns, zip(*series), truediv), args.out)
         print(json.dumps({"summary": summary}, sort_keys=True), file=sys.stderr)
         return EXIT_OK
     results: dict = {"summary": summary}
-    if rows is None:
+    if series is None:
         _emit(_envelope("simulate", args, results), args.out)
         return EXIT_OK
     results["series"] = "rows"
     # Within an encoded string every quote is escaped, so this token can only
     # be the series entry itself, whatever text a flag echo carries.
     head, _, tail = _envelope("simulate", args, results).partition('"series": "rows"')
-    _emit(head + '"series": ' + _json_series(columns, rows) + tail, args.out)
+    _emit(head + '"series": ' + _json_series(columns, series) + tail, args.out)
     return EXIT_OK
 
 
@@ -307,9 +315,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     sample_ms = args.sample_ms
     if args.format == "csv" and sample_ms is None:
         sample_ms = 10.0
-    # an iterator, so the writer holds the only reference to the samples
-    rows = None if sample_ms is None else iter(sample_result(result, sample_ms * MS))
-    return _write_run(args, summary, _FLUID_SERIES, rows)
+    series = None if sample_ms is None else _columns(sample_result(result, sample_ms * MS))
+    return _write_run(args, summary, _FLUID_SERIES, series)
 
 
 def _simulate_aimd(args: argparse.Namespace, trace, sim_horizon: float | None) -> int:
@@ -354,10 +361,10 @@ def _simulate_aimd(args: argparse.Namespace, trace, sim_horizon: float | None) -
         with open(args.log_out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(event_log_to_csv(result))
 
-    series = args.format == "csv" or args.sample_ms is not None
-    # the columns zipped: queue_delay_series would hold every row tuple at once
-    rows = zip(result._dequeue_times, result._sojourns) if series else None
-    return _write_run(args, summary, _AIMD_SERIES, rows)
+    # the stored columns: queue_delay_series would hold every row tuple at once
+    wanted = args.format == "csv" or args.sample_ms is not None
+    series = (result._dequeue_times, result._sojourns) if wanted else None
+    return _write_run(args, summary, _AIMD_SERIES, series)
 
 
 def _self_test_grid(grid) -> None:

@@ -12,22 +12,27 @@ sources, each already in key order at its head: a slot for the one
 departure in service, a FIFO of ACKs, which return a constant delay after
 their departures, and a heap of packet arrivals.
 
-A run keeps its event log and its per-dequeue series as typed float
-columns and formats nothing while it runs; ``PacketSimResult.log``,
-``PacketSimResult.queue_delay_series`` and :func:`event_log_to_csv` build
-their values from the columns when read.
+A run formats nothing while it runs.  It stores each logged event once,
+in typed columns: its time and a one-byte code, the packet id of each
+enqueue, the window after each ACK, and the dequeue time and sojourn of
+each delivered packet.  What the log repeats is derived when it is read:
+the queue bits by replaying the run's running count, the ids of dequeues
+and ACKs from the FIFO order, and a mark's sojourn from the series.
+``PacketSimResult.log``, ``PacketSimResult.queue_delay_series`` and
+:func:`event_log_to_csv` build their values from the columns when read.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 import random
 from array import array
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import accumulate, compress, count, repeat
+from operator import itemgetter
 from typing import NamedTuple
 
 from .bounds import peak_delay_ramp
@@ -48,27 +53,40 @@ _ARRIVE, _DEPART, _ACK, _MARKED_ACK = 0, 1, 2, 3
 # The key of an empty event source: it sorts after every finite time
 _NO_EVENT = (math.inf, 0, _ARRIVE, 0)
 
-# A log record is _RECORD floats: (t, kind code, packet id, queue bits,
-# value), where the value is the sojourn of a mark record and cwnd of an
-# ack or window record.  Each kind code names its event and the template
-# that renders the value as the detail; "%.0s" takes a value and shows none.
-_RECORD = 5
-_KINDS = (
-    ("enqueue", "%.0s"),
-    ("dequeue", "%.0s"),
-    ("dequeue", "marked%.0s"),
-    ("mark", "sojourn=%.6f"),
-    ("ack", "cwnd=%.3f"),
-    ("ack", "marked cwnd=%.3f"),
-    ("window", "decrease cwnd=%.3f"),
+# One code per logged event; each names the one or two log records the
+# event writes, which share its time, packet id and queue bits.  A record
+# is (event type, detail template), and the template renders the record's
+# value: the sojourn of a mark record and cwnd of an ack or window record;
+# "%.0s" takes a value and shows none.
+_EVENTS = (
+    (("enqueue", "%.0s"),),
+    (("dequeue", "%.0s"),),
+    (("dequeue", "marked%.0s"), ("mark", "sojourn=%.6f")),
+    (("ack", "cwnd=%.3f"),),
+    (("ack", "marked cwnd=%.3f"),),
+    (("window", "decrease cwnd=%.3f"), ("ack", "marked cwnd=%.3f")),
 )
-# the kind codes, in _KINDS order
-_ENQUEUED, _DEQUEUED, _DEQUEUED_MARKED, _MARKED, _ACKED, _ACKED_MARKED, _WINDOW = range(len(_KINDS))
-# One CSV row template per kind code, keyed by the code as the log stores
-# it, for the arguments (t, packet id, queue bits already as text, value)
-_CSV_ROWS = {
-    float(k): f"%r,{event},%d,%s,{detail}\n" for k, (event, detail) in enumerate(_KINDS)
-}
+# the event codes, in _EVENTS order; _DECREASED is a marked ACK that cut
+# the window
+_ENQUEUED, _DEQUEUED, _DEQUEUED_MARKED, _ACKED, _ACKED_MARKED, _DECREASED = range(len(_EVENTS))
+# CSV text per event code.  A row template takes (t, packet id, queue bits
+# as text, value).  A two-record event's row template ends at its first
+# row's queue bits and takes, in the value's place, the rest of its text:
+# the first row's detail and the whole second row, which its _CSV_REST
+# template renders from (value, t, packet id, queue bits as text, value).
+_CSV_ROWS = tuple(
+    f"%r,{records[0][0]},%d,%s," + (f"{records[0][1]}\n" if len(records) == 1 else "%s")
+    for records in _EVENTS
+)
+_CSV_REST = tuple(
+    f"{records[0][1]}\n%r,{records[1][0]},%d,%s,{records[1][1]}\n" if len(records) == 2 else None
+    for records in _EVENTS
+)
+# bytes.translate tables over the event codes: 1 for an event that writes
+# two records, and 1 for a marked dequeue once the other codes are deleted
+_TWO_RECORDS = bytes(len(records) - 1 for records in _EVENTS).ljust(256, b"\0")
+_MARKED_DEQUEUES = bytes(code == _DEQUEUED_MARKED for code in range(256))
+_NOT_DEQUEUES = bytes((_ENQUEUED, _ACKED, _ACKED_MARKED, _DECREASED))
 
 # Most packets one simulate_packets run may send; a send burst that would
 # pass it is refused before any of its packets is scheduled.
@@ -141,10 +159,14 @@ class LogEntry(NamedTuple):
 @dataclass(frozen=True)
 class PacketSimResult:
     config: PacketSimConfig
-    # The log's records back to back, and one dequeue time and one sojourn
-    # per delivered packet.  Arrays are unhashable, so hash() skips them;
-    # it still agrees with ==, which compares them.
-    _log: array = field(repr=False, hash=False)
+    # One time and one code per logged event, one packet id per enqueue and
+    # one window per ACK; one dequeue time and one sojourn per delivered
+    # packet.  Arrays are unhashable, so hash() skips them; it still agrees
+    # with ==, which compares them.
+    _times: array = field(repr=False, hash=False)
+    _codes: bytearray = field(repr=False, hash=False)
+    _packet_ids: array = field(repr=False, hash=False)
+    _windows: array = field(repr=False, hash=False)
     _dequeue_times: array = field(repr=False, hash=False)
     _sojourns: array = field(repr=False, hash=False)
     peak_queue_delay: float
@@ -154,11 +176,11 @@ class PacketSimResult:
 
     @property
     def log(self) -> tuple[LogEntry, ...]:
-        """The event log, built from the record column on each read."""
-        it = iter(self._log)
+        """The event log, built from the event columns on each read."""
         return tuple(
-            LogEntry(t, _KINDS[int(k)][0], int(pid), bits, _KINDS[int(k)][1] % value)
-            for t, k, pid, bits, value in zip(*[it] * _RECORD)
+            LogEntry(t, event, pid, bits, detail % value)
+            for t, code, pid, bits, value in zip(*_events(self))
+            for event, detail in _EVENTS[code]
         )
 
     @property
@@ -210,10 +232,9 @@ def simulate_packets(config: PacketSimConfig) -> PacketSimResult:
     departure: tuple[float, int, int, int] | None = None
     acks: deque[tuple[float, int, int, int]] = deque()
     arrivals: list[tuple[float, int, int, int]] = []
-    seq = itertools.count()
+    seq = count()
     # (packet id, arrival time); the head is in service while it is there
     queue: deque[tuple[int, float]] = deque()
-    queue_bits = 0.0
     cwnd = float(config.initial_window)
     in_flight = 0
     next_pid = 0
@@ -222,8 +243,7 @@ def simulate_packets(config: PacketSimConfig) -> PacketSimResult:
     recovery_end_pid = 0
     congestion_seen = False
 
-    log = array("d")
-    record = log.extend
+    times, codes, packet_ids, windows = array("d"), bytearray(), array("q"), array("d")
     dequeue_times, sojourns = array("d"), array("d")
 
     # Initial burst, paced at the initial link rate with seeded phase jitter
@@ -247,26 +267,22 @@ def simulate_packets(config: PacketSimConfig) -> PacketSimResult:
         # not "t > horizon": a NaN time ends the run as well
         if not t <= horizon:
             break
+        times.append(t)
         if kind == _ARRIVE:
             heapq.heappop(arrivals)
             queue.append((pid, t))
-            queue_bits += pkt
-            record((t, _ENQUEUED, pid, queue_bits, 0.0))
+            codes.append(_ENQUEUED)
+            packet_ids.append(pid)
             if len(queue) == 1:  # the server was idle
                 departure = (t + pkt / trace.capacity_at(t), next(seq), _DEPART, pid)
         elif kind == _DEPART:
             head, arrived = queue.popleft()
             assert head == pid  # FIFO service order
-            queue_bits -= pkt
             sojourn = t - arrived
             dequeue_times.append(t)
             sojourns.append(sojourn)
             mark = sojourn > config.mark_threshold
-            if mark:
-                record((t, _DEQUEUED_MARKED, pid, queue_bits, 0.0,
-                        t, _MARKED, pid, queue_bits, sojourn))
-            else:
-                record((t, _DEQUEUED, pid, queue_bits, 0.0))
+            codes.append(_DEQUEUED_MARKED if mark else _DEQUEUED)
             # departures never go back in time, so neither do the ACKs
             acks.append((t + xb + rev, next(seq), _MARKED_ACK if mark else _ACK, pid))
             departure = None
@@ -281,18 +297,19 @@ def simulate_packets(config: PacketSimConfig) -> PacketSimResult:
         else:  # ACK back at the sender
             acks.popleft()
             in_flight -= 1
-            was_marked = kind == _MARKED_ACK
-            if was_marked:
+            if kind == _MARKED_ACK:
                 if pid >= recovery_end_pid:
                     cwnd = max(1.0, cwnd * md)
                     recovery_end_pid = next_pid
-                    record((t, _WINDOW, pid, queue_bits, cwnd))
-                record((t, _ACKED_MARKED, pid, queue_bits, cwnd))
+                    codes.append(_DECREASED)
+                else:
+                    codes.append(_ACKED_MARKED)
             else:
                 # cwnd >= 1 here: an ACK needs initial_window >= 1, and every
                 # decrease stops at 1
                 cwnd += ai / cwnd
-                record((t, _ACKED, pid, queue_bits, cwnd))
+                codes.append(_ACKED)
+            windows.append(cwnd)
             burst = int(cwnd + 1e-9) - in_flight
             if burst > 0 and t < horizon:
                 _check_packet_count(next_pid + burst)
@@ -303,7 +320,10 @@ def simulate_packets(config: PacketSimConfig) -> PacketSimResult:
 
     return PacketSimResult(
         config=config,
-        _log=log,
+        _times=times,
+        _codes=codes,
+        _packet_ids=packet_ids,
+        _windows=windows,
         _dequeue_times=dequeue_times,
         _sojourns=sojourns,
         peak_queue_delay=max(sojourns, default=0.0),
@@ -353,16 +373,56 @@ def compare_to_bound(
     return BoundComparison(bound, measured, ratio, slack, violation)
 
 
+def _by_code(codes: bytearray, table: tuple) -> tuple:
+    """``table[code]`` for each event code, in one C call; itemgetter
+    returns a lone item bare, so a log of fewer than two events is indexed
+    directly."""
+    return itemgetter(*codes)(table) if len(codes) > 1 else tuple(table[c] for c in codes)
+
+
+def _events(result: PacketSimResult):
+    """The logged events as five columns, one entry per event: the time,
+    the code, the packet id, the queue bits after the event and the value.
+
+    The ids, bits and values are derived when read.  The queue and the ACKs
+    are FIFOs, so the k-th dequeue and the k-th ACK carry the k-th enqueued
+    id.  The bits replay the loop's running count from 0.0, ``+=
+    packet_size`` at an enqueue and ``-= packet_size`` at a dequeue, in
+    event order, so they come out bit for bit; an ACK adds 0.0, which
+    leaves every count but -0.0 as it is, and a count that starts at 0.0
+    never reaches -0.0.  A
+    marked dequeue's value is its sojourn, an ACK's the window after it,
+    and the other events' the empty string.
+    """
+    codes = result._codes
+    pkt = result.config.packet_size
+    bits = accumulate(_by_code(codes, (pkt, -pkt, -pkt, 0.0, 0.0, 0.0)))
+    queued, served, acked = (iter(result._packet_ids) for _ in range(3))
+    pids = map(next, _by_code(codes, (queued, served, served, acked, acked, acked)))
+    # one flag per dequeue, set where it was marked
+    marked = compress(result._sojourns, codes.translate(_MARKED_DEQUEUES, _NOT_DEQUEUES))
+    none, windows = repeat(""), iter(result._windows)
+    values = map(next, _by_code(codes, (none, none, marked, windows, windows, windows)))
+    return result._times, codes, pids, bits, values
+
+
 def event_log_to_csv(result: PacketSimResult) -> str:
     """The event log as CSV text, one row per record; times and queue bits
     are written as ``repr`` of the float."""
-    log = result._log
-    bits = log[3::_RECORD]
+    times, codes, pids, bits, values = _events(result)
+    pids, bits, values = list(pids), list(bits), list(values)
     # queue bits take few distinct values, so each is written once; equal
     # values share one repr, as the count never reaches -0.0
     bits_text = {q: repr(q) for q in set(bits)}
-    args = zip(log[0::_RECORD], log[2::_RECORD], map(bits_text.__getitem__, bits), log[4::_RECORD])
-    rows = "".join(map(_CSV_ROWS.__getitem__, log[1::_RECORD]))
-    return "t_s,event_type,packet_id,queue_bits,detail\n" + rows % tuple(
-        itertools.chain.from_iterable(args)
-    )
+    bits = list(map(bits_text.__getitem__, bits))
+    # a two-record event takes the rest of its text in its value's place
+    two = codes.translate(_TWO_RECORDS)
+    i = two.find(1)
+    while i >= 0:
+        value = values[i]
+        values[i] = _CSV_REST[codes[i]] % (value, times[i], pids[i], bits[i], value)
+        i = two.find(1, i + 1)
+    args = [None] * (4 * len(codes))
+    args[0::4], args[1::4], args[2::4], args[3::4] = times, pids, bits, values
+    rows = "".join(_by_code(codes, _CSV_ROWS))
+    return "t_s,event_type,packet_id,queue_bits,detail\n" + rows % tuple(args)

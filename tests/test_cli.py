@@ -303,8 +303,9 @@ def dumps_again(out: str) -> str:
 
 
 class TestJsonSeries:
-    """The JSON series is spliced into the envelope from the row tuples; the
-    text must still be json.dumps(indent=2, sort_keys=True) byte for byte."""
+    """The JSON series is spliced into the envelope from the value columns;
+    the text must still be json.dumps(indent=2, sort_keys=True) byte for
+    byte."""
 
     DROP_CSV = "0,1e7,hold\n0.2,1e6,hold\n0.5,1e6,hold\n"
 
@@ -352,7 +353,7 @@ class TestJsonSeries:
         values = (-0.0, 5e-324, 1e16, 1e-7, math.nan, math.inf, -math.inf, 1.5)
         rows = list(zip(values[0::2], values[1::2]))
         args = argparse.Namespace(format="json", out=None, trace="t.csv")
-        assert cli._write_run(args, {}, columns, iter(rows)) == 0
+        assert cli._write_run(args, {}, columns, zip(*rows)) == 0
         series = [{k: None if v != v else v for k, v in zip(columns, row)} for row in rows]
         doc = {
             "command": "simulate",

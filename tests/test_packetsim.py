@@ -9,7 +9,6 @@ import math
 import pickle
 import random
 import tracemalloc
-from array import array
 from collections import deque
 
 import pytest
@@ -20,8 +19,8 @@ from ccbound import packetsim
 from ccbound.bounds import peak_delay_step
 from ccbound.packetsim import (
     AimdParams,
+    LogEntry,
     PacketSimConfig,
-    PacketSimResult,
     compare_to_bound,
     event_log_to_csv,
     simulate_packets,
@@ -169,9 +168,25 @@ class TestLindleyReference:
         )
 
 
+# The reference's record kinds: (event type, detail written from the value)
+REFERENCE_KINDS = {
+    "enqueue": ("enqueue", ""),
+    "dequeue": ("dequeue", ""),
+    "marked dequeue": ("dequeue", "marked"),
+    "mark": ("mark", "sojourn={:.6f}"),
+    "ack": ("ack", "cwnd={:.3f}"),
+    "marked ack": ("ack", "marked cwnd={:.3f}"),
+    "window": ("window", "decrease cwnd={:.3f}"),
+}
+
+
 def all_heap_reference(config):
     """The event loop with every event in one heap keyed (t, seq, kind, id),
-    so events at equal times run in the order they were scheduled."""
+    so events at equal times run in the order they were scheduled.
+
+    It keeps each log record whole, (t, kind, packet id, queue bits, value),
+    in a list, and returns the records with the per-dequeue series and the
+    scalar fields by name."""
     trace, horizon, pkt = config.trace, config.trace.horizon, config.packet_size
     fwd, xb, rev = config.forward_delay, config.x_to_b_delay, config.reverse_delay
     rng = random.Random(config.seed)
@@ -181,7 +196,7 @@ def all_heap_reference(config):
     queue_bits, cwnd = 0.0, float(config.initial_window)
     in_flight = next_pid = recovery_end_pid = 0
     congestion_seen = False
-    log, dequeue_times, sojourns = array("d"), array("d"), array("d")
+    records, dequeue_times, sojourns = [], [], []
     arrive, depart, ack, marked_ack = range(4)
     spacing = pkt / trace.capacity_at(0.0)
     for k in range(config.initial_window):
@@ -195,7 +210,7 @@ def all_heap_reference(config):
         if kind == arrive:
             queue.append((pid, t))
             queue_bits += pkt
-            log.extend((t, packetsim._ENQUEUED, pid, queue_bits, 0.0))
+            records.append((t, "enqueue", pid, queue_bits, 0.0))
             if len(queue) == 1:
                 heapq.heappush(heap, (t + pkt / trace.capacity_at(t), next(seq), depart, pid))
         elif kind == depart:
@@ -206,10 +221,10 @@ def all_heap_reference(config):
             sojourns.append(sojourn)
             mark = sojourn > config.mark_threshold
             if mark:
-                log.extend((t, packetsim._DEQUEUED_MARKED, pid, queue_bits, 0.0,
-                            t, packetsim._MARKED, pid, queue_bits, sojourn))
+                records.append((t, "marked dequeue", pid, queue_bits, 0.0))
+                records.append((t, "mark", pid, queue_bits, sojourn))
             else:
-                log.extend((t, packetsim._DEQUEUED, pid, queue_bits, 0.0))
+                records.append((t, "dequeue", pid, queue_bits, 0.0))
             heapq.heappush(heap, (t + xb + rev, next(seq), marked_ack if mark else ack, pid))
             if queue:
                 head, arrived = queue[0]
@@ -223,28 +238,59 @@ def all_heap_reference(config):
                 if pid >= recovery_end_pid:
                     cwnd = max(1.0, cwnd * config.aimd.multiplicative_decrease)
                     recovery_end_pid = next_pid
-                    log.extend((t, packetsim._WINDOW, pid, queue_bits, cwnd))
-                log.extend((t, packetsim._ACKED_MARKED, pid, queue_bits, cwnd))
+                    records.append((t, "window", pid, queue_bits, cwnd))
+                records.append((t, "marked ack", pid, queue_bits, cwnd))
             else:
                 cwnd += config.aimd.additive_increase / cwnd
-                log.extend((t, packetsim._ACKED, pid, queue_bits, cwnd))
+                records.append((t, "ack", pid, queue_bits, cwnd))
             burst = int(cwnd + 1e-9) - in_flight
             if burst > 0 and t < horizon:
                 for new_pid in range(next_pid, next_pid + burst):
                     heapq.heappush(heap, (t + fwd, next(seq), arrive, new_pid))
                 next_pid += burst
                 in_flight += burst
-    return PacketSimResult(config, log, dequeue_times, sojourns, max(sojourns, default=0.0),
-                           congestion_seen, next_pid, len(sojourns))
+    return {
+        "records": records,
+        "queue_delay_series": tuple(zip(dequeue_times, sojourns)),
+        "peak_queue_delay": max(sojourns, default=0.0),
+        "congestion_reached": congestion_seen,
+        "packets_sent": next_pid,
+        "packets_delivered": len(sojourns),
+    }
+
+
+def reference_log(records):
+    """The reference's records as the log entries the simulator reports."""
+    entries = []
+    for t, kind, pid, queue_bits, value in records:
+        event, detail = REFERENCE_KINDS[kind]
+        entries.append(LogEntry(t, event, pid, queue_bits, detail.format(value)))
+    return tuple(entries)
+
+
+def reference_csv(records):
+    """The reference's records as CSV text, each float written by repr."""
+    lines = ["t_s,event_type,packet_id,queue_bits,detail"]
+    lines += [f"{e.t!r},{e.event},{e.packet_id},{e.queue_bits!r},{e.detail}"
+              for e in reference_log(records)]
+    return "\n".join(lines) + "\n"
+
+
+# packet sizes of 2^12 to 2^14 bits: every running sum of them is exact
+DYADIC_SIZES = st.integers(12, 14).map(lambda k: 2.0 ** k)
+# packet sizes of a tenth of a bit that is not a multiple of five: no such
+# size is a binary fraction, so running sums of it round
+NON_DYADIC_SIZES = st.integers(40_001, 160_000).filter(lambda k: k % 5).map(lambda k: k / 10)
 
 
 @st.composite
-def tied_aimd_configs(draw):
+def tied_aimd_configs(draw, sizes=DYADIC_SIZES):
     """An AIMD run whose event times tie exactly.
 
-    Rates, packet sizes and breakpoint times are powers of two or dyadic
-    fractions, and every delay is 0 or 2^-k, so a departure, an ACK and an
-    ACK-clocked arrival often fall on the very same float.
+    Rates and breakpoint times are powers of two or dyadic fractions, and
+    every delay is 0 or 2^-k, so with a packet size drawn from
+    DYADIC_SIZES a departure, an ACK and an ACK-clocked arrival often fall
+    on the very same float.
     """
     dyadic_delay = st.sampled_from([0.0] + [2.0 ** -k for k in range(2, 9)])
     times = draw(st.lists(st.integers(1, 7), max_size=3, unique=True))
@@ -253,7 +299,7 @@ def tied_aimd_configs(draw):
         CapacityTrace(
             tuple(Breakpoint(k / 8.0, 2.0 ** draw(st.integers(16, 19))) for k in steps), 1.0
         ),
-        packet_size=2.0 ** draw(st.integers(12, 14)),
+        packet_size=draw(sizes),
         forward_delay=draw(dyadic_delay),
         x_to_b_delay=draw(dyadic_delay),
         reverse_delay=draw(dyadic_delay),
@@ -274,8 +320,29 @@ class TestTieOrder:
     def test_log_and_fields_equal_the_all_heap_loop(self, config):
         result = simulate_packets(config)
         expected = all_heap_reference(config)
-        assert event_log_to_csv(result) == event_log_to_csv(expected)
-        assert result == expected
+        assert result.log == reference_log(expected["records"])
+        assert event_log_to_csv(result) == reference_csv(expected["records"])
+        for name in ("queue_delay_series", "peak_queue_delay", "congestion_reached",
+                     "packets_sent", "packets_delivered"):
+            assert getattr(result, name) == expected[name], name
+
+
+class TestQueueBitsReplay:
+    """The log's queue bits are the loop's running sum, not a product: with
+    a packet size whose sums round, each record's bits equal the all-heap
+    loop's ``+=``/``-=`` count to the last bit."""
+
+    @given(config=tied_aimd_configs(sizes=NON_DYADIC_SIZES))
+    @settings(max_examples=150, deadline=None)
+    def test_records_equal_the_running_sum(self, config):
+        result = simulate_packets(config)
+        expected = all_heap_reference(config)
+
+        def exact(log):
+            return [(e.t.hex(), e.event, e.packet_id, e.queue_bits.hex(), e.detail) for e in log]
+
+        assert exact(result.log) == exact(reference_log(expected["records"]))
+        assert event_log_to_csv(result) == reference_csv(expected["records"])
 
 
 class TestQueryCount:
@@ -418,7 +485,8 @@ class TestResultStorage:
 
     def test_traced_bytes_per_packet(self):
         # 25,661 packets and 77,423 log records; a tuple per record and a
-        # detail string per ACK cost about 625 bytes per packet
+        # detail string per ACK cost about 625 bytes per packet, five floats
+        # per record about 139, and the event columns about 63
         config = PacketSimConfig(make_step_trace(1e8, 2e7, 3.0, 6.0))
         tracemalloc.start()
         try:
@@ -427,7 +495,7 @@ class TestResultStorage:
         finally:
             tracemalloc.stop()
         assert result.packets_sent == 25_661
-        assert peak / result.packets_sent <= 200, peak / result.packets_sent
+        assert peak / result.packets_sent <= 80, peak / result.packets_sent
 
     def test_result_compares_hashes_pickles_and_replaces(self):
         config = saturated_step_config(12e6, 5.0, 0.02, seed=3)
