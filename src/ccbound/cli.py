@@ -4,7 +4,11 @@ trace ingestion, emitting plot-ready CSV or JSON.
 Flags use milliseconds and Mbit/s; conversion to the library's internal
 seconds and bit/s happens here and only here.  Results are built in SI with
 each key's unit as its suffix and converted on output through one table,
-``_s`` -> ``_ms`` and ``_bps`` -> ``_mbps``.  Exit codes are a stable
+``_s`` -> ``_ms`` and ``_bps`` -> ``_mbps``.  Every table of rows (a CSV,
+a simulate run's JSON series and its summary's events) is written by one
+path over named value columns: each column is formatted on its own, and the
+rows are filled into one row template a block at a time and streamed to the
+output, so no output text is ever held whole.  Exit codes are a stable
 contract: 0 success, 2 bad usage or flag values, 3 malformed input data,
 4 model violation (e.g. overlapping oracle signal windows).
 """
@@ -12,13 +16,12 @@ contract: 0 success, 2 bad usage or flag values, 3 malformed input data,
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import io
 import json
 import math
 import sys
-from itertools import repeat
+from collections.abc import Iterable, Iterator
+from itertools import islice, repeat, tee
 from operator import truediv
 
 from . import __version__
@@ -63,8 +66,13 @@ _FLUID_SERIES = ("t_s", "backlog_bits", "delay_s", "fifo_delay_s")
 _AIMD_SERIES = ("t_s", "queue_delay_s")
 _SWEEP_SERIES = ("c", "d", "d_ramp", "q_seconds")  # SI, no suffix: written as is
 
-# How json spells the floats whose repr it does not use; NaN in a series is null.
-_JSON_NON_FINITE = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
+# How json spells the values whose repr it does not use: the summary's
+# scalars, and the series, whose NaN was None in the dict form and is null.
+_JSON_SCALARS = {"None": "null", "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_JSON_SERIES = {**_JSON_SCALARS, "nan": "null"}
+
+# Rows formatted and written per piece of output: bounds the text held at once.
+_BLOCK = 8192
 
 # CLI-side scenario parameter names (boundary units) -> library kwargs (SI).
 _SCENARIO_KEY_MAP = {
@@ -78,12 +86,13 @@ _SCENARIO_KEY_MAP = {
 }
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(pieces: Iterable[str], out: str | None) -> None:
+    """Write the text ``pieces`` in turn to the file at ``out``, or to stdout."""
     if out:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _echo_params(args: argparse.Namespace) -> dict:
@@ -116,17 +125,12 @@ def _cli_value(value, scale: float):
 
 
 def _cli_units(si: dict) -> dict:
-    """An SI result dict in CLI units; nested dicts and lists of dicts too."""
+    """An SI result dict in CLI units, nested dicts too; a list is left as it
+    is (the writer converts a list of rows column by column)."""
     out = {}
     for key, value in si.items():
         name, scale = _cli_name(key)
-        if isinstance(value, dict):
-            value = _cli_units(value)
-        elif isinstance(value, list):
-            value = [_cli_units(v) for v in value]
-        else:
-            value = _cli_value(value, scale)
-        out[name] = value
+        out[name] = _cli_units(value) if isinstance(value, dict) else _cli_value(value, scale)
     return out
 
 
@@ -140,35 +144,102 @@ def _cell(value, scale: float):
     return value
 
 
-def _csv(columns: tuple[str, ...], rows, cell) -> str:
-    """``rows`` (tuples in SI ``columns`` order) as CSV under the CLI column
-    names, each value written as ``cell(value, divisor)``; the csv module
-    writes floats with ``repr`` and None as an empty cell."""
-    names, scales = zip(*map(_cli_name, columns))
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(names)
-    writer.writerows(map(cell, row, scales) for row in rows)
-    return buf.getvalue()
+def _field(value) -> str:
+    """``value`` as ``csv.writer(lineterminator="\\n")`` writes a field: None
+    empty, anything else as ``str``, quoted (quotes doubled) when it holds
+    a comma, a quote or a newline."""
+    if value is None:
+        return ""
+    text = value if isinstance(value, str) else str(value)
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
-def _json_series(columns: tuple[str, ...], series) -> str:
-    """``series`` (one value sequence per SI ``columns`` entry) as the list
-    that ``json.dumps(indent=2, sort_keys=True)`` writes at
-    ``results.series``: one object per row, keys in CLI units and sorted,
-    each value its ``repr`` (json's spelling of a float) and NaN as null."""
+def _reprs(values, scale: float):
+    """A float column in CLI units, each value its ``repr``: the spelling of
+    csv and json alike."""
+    return map(repr, map(truediv, values, repeat(scale)))
+
+
+def _scalar_reprs(values, scale: float):
+    """A column that may hold None, in CLI units, each value its ``repr``."""
+    return map(repr, map(_cli_value, values, repeat(scale)))
+
+
+def _blocks(row: str, sep: str, cells) -> Iterator[str]:
+    """``row % values`` for each row of the text columns ``cells``, the rows
+    joined by ``sep``, in pieces of up to ``_BLOCK`` rows with ``sep``
+    between pieces too.  Only one piece is held at a time."""
+    rows = zip(*cells)
+    lead = ""
+    while block := sep.join(map(row.__mod__, islice(rows, _BLOCK))):
+        yield lead
+        yield block
+        lead = sep
+
+
+def _csv(columns: tuple[str, ...], values, cell=None) -> Iterator[str]:
+    """CSV text pieces: a header of the CLI names of the SI ``columns``,
+    then one row per index of ``values`` (one value column per entry of
+    ``columns``).  A value is written as its ``repr`` divided by its
+    column's divisor, or, given ``cell``, as ``cell(value, divisor)``
+    through :func:`_field`; either way the text is csv.writer's."""
     names, scales = zip(*map(_cli_name, columns))
-    values = list(series)
+    if cell is None:
+        texts = list(map(_reprs, values, scales))
+    else:
+        texts = [map(_field, map(cell, col, repeat(s))) for col, s in zip(values, scales)]
+    yield ",".join(map(_field, names)) + "\n"
+    yield from _blocks(",".join(["%s"] * len(names)) + "\n", "", texts)
+
+
+def _json_rows(columns: tuple[str, ...], values, level: int | None,
+               spell: dict = _JSON_SERIES, text=_reprs) -> Iterator[str]:
+    """Text pieces of the list that ``json.dumps(indent=2, sort_keys=True)``
+    writes for one dict per row of ``values`` (one value column per SI
+    ``columns`` entry) when the list's key sits at nesting ``level``; with
+    ``level`` None, the list that ``json.dumps(sort_keys=True)`` writes.
+    Keys are in CLI units and sorted; each value is ``text(column,
+    divisor)`` and the texts json spells otherwise go through ``spell``."""
+    values = list(values)
     if not values or not len(values[0]):
-        return "[]"
+        yield "[]"
+        return
+    names, scales = zip(*map(_cli_name, columns))
     order = sorted(range(len(names)), key=names.__getitem__)
-    # the list sits at depth 2 of the envelope: rows at 6 spaces, keys at 8
-    item = "      {\n" + ",\n".join(f"        {json.dumps(names[k])}: %s" for k in order) + "\n      }"
-    cells = []
-    for k in order:
-        text = list(map(repr, map(truediv, values[k], repeat(scales[k]))))
-        cells.append(map(_JSON_NON_FINITE.get, text, text))
-    return "[\n" + ",\n".join(map(item.__mod__, zip(*cells))) + "\n    ]"
+    keys = [json.dumps(names[k]) + ": %s" for k in order]
+    if level is None:
+        row, sep, close = "{" + ", ".join(keys) + "}", ", ", "]"
+    else:
+        pad = " " * (2 * level)
+        row = f"{pad}  {{\n{pad}    " + f",\n{pad}    ".join(keys) + f"\n{pad}  }}"
+        sep, close = ",\n", f"\n{pad}]"
+    texts = [map(spell.get, *tee(text(values[k], scales[k]))) for k in order]
+    yield "[" if level is None else "[\n"
+    yield from _blocks(row, sep, texts)
+    yield close
+
+
+def _dict_rows(rows: list[dict], level: int | None) -> Iterator[str]:
+    """:func:`_json_rows` of ``rows``, flat dicts with the same SI keys whose
+    values may be None, spelled as json spells them (NaN, not null)."""
+    keys = tuple(rows[0]) if rows else ()
+    values = [[row[k] for row in rows] for k in keys]
+    return _json_rows(keys, values, level, _JSON_SCALARS, _scalar_reprs)
+
+
+def _spliced(text: str, lists) -> Iterator[str]:
+    """``text`` in pieces, each ``"key": "rows"`` placeholder of ``lists``
+    (``(key, pieces)`` pairs in the order the keys appear) replaced by its
+    pieces.  Within an encoded string every quote is escaped, so a
+    placeholder can only be the entry itself, whatever text a flag echo
+    carries."""
+    for key, pieces in lists:
+        head, _, text = text.partition(f'"{key}": "rows"')
+        yield head + f'"{key}": '
+        yield from pieces
+    yield text
 
 
 def _columns(rows):
@@ -183,26 +254,36 @@ def _write_run(args: argparse.Namespace, summary: dict, columns: tuple[str, ...]
     per ``columns`` entry; None for a JSON run without a series) in CLI
     units.
 
-    The JSON text is byte for byte ``json.dumps(doc, indent=2,
+    The summary's ``events``, if any, is a list of flat dicts with the same
+    keys.  The JSON text is byte for byte ``json.dumps(doc, indent=2,
     sort_keys=True) + "\n"`` of the envelope whose ``results.series`` holds
-    one dict per row (NaN as None), but no dict is built: the envelope is
-    encoded around a placeholder, and the rows are formatted straight from
-    the columns by :func:`_json_series` and spliced in its place.
+    one dict per row (NaN as None), but no row dict is built and the text is
+    never held whole: the envelope is encoded around placeholders, and the
+    series and the events are formatted column by column by
+    :func:`_json_rows` and streamed in their places, a block of rows at a
+    time.  The CSV is streamed the same way by :func:`_csv`, and the summary
+    goes to stderr as one ``json.dumps(sort_keys=True)`` line, its events
+    spliced in alike.
     """
     summary = _cli_units(summary)
+    events = summary.get("events")  # a fluid run's: one flat dict per reduction
+    if events is not None:
+        summary["events"] = "rows"
+    lists = []
     if args.format == "csv":
-        _emit(_csv(columns, zip(*series), truediv), args.out)
-        print(json.dumps({"summary": summary}, sort_keys=True), file=sys.stderr)
+        _emit(_csv(columns, series), args.out)
+        if events is not None:
+            lists.append(("events", _dict_rows(events, None)))
+        line = "".join(_spliced(json.dumps({"summary": summary}, sort_keys=True), lists))
+        print(line, file=sys.stderr)
         return EXIT_OK
     results: dict = {"summary": summary}
-    if series is None:
-        _emit(_envelope("simulate", args, results), args.out)
-        return EXIT_OK
-    results["series"] = "rows"
-    # Within an encoded string every quote is escaped, so this token can only
-    # be the series entry itself, whatever text a flag echo carries.
-    head, _, tail = _envelope("simulate", args, results).partition('"series": "rows"')
-    _emit(head + '"series": ' + _json_series(columns, series) + tail, args.out)
+    if series is not None:  # "series" sorts before "summary": its placeholder comes first
+        results["series"] = "rows"
+        lists.append(("series", _json_rows(columns, series, 2)))
+    if events is not None:
+        lists.append(("events", _dict_rows(events, 3)))
+    _emit(_spliced(_envelope("simulate", args, results), lists), args.out)
     return EXIT_OK
 
 
@@ -278,10 +359,10 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         }
     if args.format == "csv":  # delay_ms and ramp_ms echo the flags
         columns = ("c_factor", "delay_ms", "ramp_ms", "q_s", "branch")
-        text = _csv(columns, [(c, args.delay_ms, args.ramp_ms, q, branch)], _cli_value)
+        values = ([c], [args.delay_ms], [args.ramp_ms], [q], [branch])
+        _emit(_csv(columns, values, _cli_value), args.out)
     else:
-        text = _envelope("bound", args, results)
-    _emit(text, args.out)
+        _emit((_envelope("bound", args, results),), args.out)
     return EXIT_OK
 
 
@@ -403,34 +484,33 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.self_test:
         _self_test_grid(grid)
     if args.format == "json":
-        _emit(_envelope("sweep", args, dataclasses.asdict(grid)), args.out)
+        _emit((_envelope("sweep", args, dataclasses.asdict(grid)),), args.out)
     else:
-        _emit(_csv(_SWEEP_SERIES, grid.rows(), truediv), args.out)
+        _emit(_csv(_SWEEP_SERIES, zip(*grid.rows())), args.out)
     return EXIT_OK
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
     if args.list:
-        lines = [f"{name}: {scenario_description(name)}" for name in scenario_names()]
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit((f"{name}: {scenario_description(name)}\n" for name in scenario_names()), args.out)
         return EXIT_OK
     if args.table:
         if args.table == "dublin-ny":
             columns, rows = ("label", "one_way_delay_s", "q_at_c10_s", "lower_bound"), dublin_ny_table()
         else:  # wifi; argparse restricts the choices
             columns, rows = ("technology", "note", "rate_bps"), wifi_rates()
-        _emit(_csv(columns, rows, _cell), args.out)
+        _emit(_csv(columns, zip(*rows), _cell), args.out)
         return EXIT_OK
     if args.emit:
         params = _scenario_params(args.scenario_param or [])
-        _emit(trace_to_csv(scenario_trace(args.emit, **params)), args.out)
+        _emit((trace_to_csv(scenario_trace(args.emit, **params)),), args.out)
         return EXIT_OK
     raise ValueError("pass --list, --table <name>, or --emit <scenario>")
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
     horizon = None if args.horizon_ms is None else args.horizon_ms * MS
-    _emit(trace_to_csv(trace_from_csv(_read_text(args.path), horizon=horizon)), args.out)
+    _emit((trace_to_csv(trace_from_csv(_read_text(args.path), horizon=horizon)),), args.out)
     return EXIT_OK
 
 

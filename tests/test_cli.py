@@ -4,12 +4,19 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import io
 import json
 import math
 import time
+import tracemalloc
+from array import array
+from contextlib import redirect_stderr, redirect_stdout
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccbound import __version__, cli
 from ccbound.bounds import peak_delay_ramp, peak_delay_step
@@ -363,6 +370,194 @@ class TestJsonSeries:
             "version": __version__,
         }
         assert capsys.readouterr().out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+class TestEventsSpelling:
+    """The summary's events are spliced in like the series but spelled as
+    json.dumps spells their dict form: Infinity and NaN as such, None as
+    null.  Recorded from the writer that encoded the event dicts whole."""
+
+    # c = 1e308 / 1e-300 overflows to inf; fixed:10 has no signal delay, so
+    # the event has no bound
+    EXTREME = "0,1e308,linear\n1,1e-300,hold\n2,1e-300,hold\n"
+    FLAT = "0,1e8,hold\n2,1e8,hold\n"
+
+    @pytest.mark.parametrize(
+        "stdin,argv,line,sha256",
+        [
+            (EXTREME, ("fixed:10",), '          "c_factor": Infinity,\n',
+             "0a792ffc4ebbdad2d56636d956dd9aa4384ff58f9d5d34b0aa848563cd19616e"),
+            (FLAT, ("oracle-final", "--delay-ms", "10"), '      "events": [],\n',
+             "1bec4d1f4f6ff139f02c6150b89c287f3b74956f52187883fc7ac9f83c5e1fd3"),
+        ],
+        ids=["infinity-and-null", "no-events"],
+    )
+    def test_json_is_pinned(self, capsys, monkeypatch, stdin, argv, line, sha256):
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        code, out, err = run_cli(capsys, "simulate", "--trace", "-", "--controller", *argv)
+        assert (code, err) == (0, "")
+        assert out == dumps_again(out)
+        assert line in out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
+
+    def test_null_bound(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(self.EXTREME))
+        _, out, _ = run_cli(capsys, "simulate", "--trace", "-", "--controller", "fixed:10")
+        (event,) = parse_envelope(out)["results"]["summary"]["events"]
+        assert event["bound_ms"] is None and event["c_factor"] == math.inf
+        assert '          "bound_ms": null,\n' in out
+
+    def test_csv_summary_line_is_pinned(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(self.EXTREME))
+        code, _, err = run_cli(
+            capsys, "simulate", "--trace", "-", "--controller", "fixed:10", "--format", "csv"
+        )
+        assert code == 0
+        assert err == json.dumps(json.loads(err), sort_keys=True) + "\n"
+        assert err == (
+            '{"summary": {"bits_in": 20000000.0, "bits_out": 10000000.0, "controller": "fixed:10", '
+            '"events": [{"bound_ms": null, "c_factor": Infinity, "onset_ms": 0.0, '
+            '"post_mbps": 1e-306, "pre_mbps": 1e+302, "ramp_ms": 1000.0}], '
+            '"fifo_beyond_horizon": false, "peak_backlog_bits": 10000000.0, '
+            '"peak_delay_ms": Infinity, "peak_fifo_delay_ms": 0.0, "peak_time_ms": 2000.0}}\n'
+        )
+
+
+# SI column name -> (CLI name, divisor), as the unit table renames them
+UNIT_COLUMNS = {
+    "t_s": ("t_ms", 1e-3),
+    "rate_bps": ("rate_mbps", 1e6),
+    "backlog_bits": ("backlog_bits", 1.0),
+    "c_factor": ("c_factor", 1.0),
+}
+ODD_FLOATS = (-0.0, 5e-324, 1e16, math.nan, math.inf, -math.inf)
+floats = st.sampled_from(ODD_FLOATS) | st.floats()
+scalars = floats | st.none()
+texts = st.text(st.sampled_from(list('ab ,"\n\u00fc')), max_size=6)
+
+
+@st.composite
+def columns(draw, values):
+    """2-4 of the unit columns, each of a row count around a block edge,
+    filled from a few drawn values (a hypothesis list of 8k values would be
+    slow to draw, and rows past the first few only need to exist)."""
+    block = draw(st.sampled_from((1, 2, 3, 5)))
+    n = draw(st.sampled_from((0, 1, block - 1, block, block + 1, 2 * block + 1)))
+    names = draw(st.lists(st.sampled_from(sorted(UNIT_COLUMNS)), min_size=2, max_size=4,
+                          unique=True))
+    cols = []
+    for _ in names:
+        pool = draw(st.lists(values, min_size=1, max_size=5))
+        cols.append([pool[i % len(pool)] for i in range(n)])
+    return block, tuple(names), cols
+
+
+def csv_reference(names, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(names)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def cli_rows(names, cols):
+    """The rows of ``cols`` in CLI units: numbers divided, None and text kept."""
+    divisors = [UNIT_COLUMNS.get(name, (name, 1.0))[1] for name in names]
+    return [
+        [v if v is None or isinstance(v, str) else v / d for v, d in zip(row, divisors)]
+        for row in zip(*cols)
+    ]
+
+
+class TestWriterDifferential:
+    """The column writers against the stdlib writers they replace: csv.writer
+    for every CSV and json.dumps for the JSON series and events, across the
+    block edges (the block patched small; one test runs the real one)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=columns(floats), cells=st.lists(scalars | texts, min_size=1, max_size=5))
+    def test_csv_equals_csv_writer(self, data, cells):
+        block, names, cols = data
+        cli_names = [UNIT_COLUMNS[name][0] for name in names]
+        with patch.object(cli, "_BLOCK", block):
+            assert "".join(cli._csv(names, cols)) == csv_reference(cli_names, cli_rows(names, cols))
+            # with text and None in a unitless column, written through _field
+            label = [cells[i % len(cells)] for i in range(len(cols[0]))]
+            mixed = (*names, "label")
+            got = "".join(cli._csv(mixed, [*cols, label], cli._cli_value))
+            assert got == csv_reference([*cli_names, "label"], cli_rows(mixed, [*cols, label]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(series=columns(floats), events=columns(scalars), fmt=st.sampled_from(("json", "csv")))
+    def test_run_equals_json_dumps(self, series, events, fmt):
+        block, names, cols = series
+        _, event_names, event_cols = events
+        summary = {"peak_s": 0.5, "events": [dict(zip(event_names, row)) for row in zip(*event_cols)]}
+        cli_events = [
+            dict(zip((UNIT_COLUMNS[name][0] for name in event_names), row))
+            for row in cli_rows(event_names, event_cols)
+        ]
+        cli_summary = {"peak_ms": 500.0, "events": cli_events}
+        args = argparse.Namespace(format=fmt, out=None, trace="t.csv")
+        out, err = io.StringIO(), io.StringIO()
+        with patch.object(cli, "_BLOCK", block), redirect_stdout(out), redirect_stderr(err):
+            assert cli._write_run(args, summary, names, cols) == 0
+        out, err = out.getvalue(), err.getvalue()
+        cli_names = [UNIT_COLUMNS[name][0] for name in names]
+        if fmt == "csv":
+            assert out == csv_reference(cli_names, cli_rows(names, cols))
+            assert err == json.dumps({"summary": cli_summary}, sort_keys=True) + "\n"
+            return
+        # the series' dict form holds NaN as None
+        rows = [[None if v != v else v for v in row] for row in cli_rows(names, cols)]
+        doc = {
+            "command": "simulate",
+            "params": {"trace": "t.csv"},
+            "results": {"series": [dict(zip(cli_names, row)) for row in rows],
+                        "summary": cli_summary},
+            "units": cli.UNITS,
+            "version": __version__,
+        }
+        assert (out, err) == (json.dumps(doc, indent=2, sort_keys=True) + "\n", "")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_real_block_edges(self, capsys, fmt):
+        block = cli._BLOCK
+        for n in (block - 1, block, block + 1):
+            t = [i * 1e-3 + 1e-9 for i in range(n)]
+            q = [math.nan if i % 7 == 0 else i * 1e-7 for i in range(n)]
+            args = argparse.Namespace(format=fmt, out=None, trace="t.csv")
+            assert cli._write_run(args, {}, cli._AIMD_SERIES, (t, q)) == 0
+            out = capsys.readouterr().out
+            rows = [(a / 1e-3, b / 1e-3) for a, b in zip(t, q)]
+            if fmt == "csv":
+                assert out == csv_reference(["t_ms", "queue_delay_ms"], rows)
+            else:
+                series = parse_envelope(out)["results"]["series"]
+                assert out == dumps_again(out)
+                assert [(r["t_ms"], r["queue_delay_ms"]) for r in series] == [
+                    (a, None if b != b else b) for a, b in rows
+                ]
+
+
+class TestStreaming:
+    """The writer holds a block of rows at a time, never the whole text."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_peak_memory_does_not_grow_with_rows(self, tmp_path, capsys, fmt):
+        peaks = []
+        for n in (100_000, 400_000):
+            t = array("d", range(n))
+            q = array("d", range(0, 3 * n, 3))
+            args = argparse.Namespace(format=fmt, out=str(tmp_path / f"out.{fmt}"), trace="t.csv")
+            tracemalloc.start()
+            try:
+                assert cli._write_run(args, {"peak_s": 0.5}, cli._AIMD_SERIES, (t, q)) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (tmp_path / f"out.{fmt}").stat().st_size > 4_000_000
+        assert peaks[1] < 1.2 * peaks[0], peaks
 
 
 class TestSweep:
