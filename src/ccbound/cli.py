@@ -39,8 +39,8 @@ from .fluid import (
 from .packetsim import (
     AimdParams,
     PacketSimConfig,
+    _log_lines,
     compare_to_bound,
-    event_log_to_csv,
     simulate_packets,
 )
 from .scenarios import (
@@ -439,8 +439,7 @@ def _simulate_aimd(args: argparse.Namespace, trace, sim_horizon: float | None) -
         except ValueError as exc:
             summary["bound_comparison"] = {"error": str(exc)}
     if args.log_out:
-        with open(args.log_out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(event_log_to_csv(result))
+        _emit(_log_lines(result), args.log_out)
 
     # the stored columns: queue_delay_series would hold every row tuple at once
     wanted = args.format == "csv" or args.sample_ms is not None

@@ -553,6 +553,25 @@ class TestStreaming:
         assert (tmp_path / f"out.{fmt}").stat().st_size > 4_000_000
         assert peaks[1] < 1.2 * peaks[0], peaks
 
+    def test_event_log_is_streamed_to_its_file(self, tmp_path):
+        # 77,423 records; the run's own columns take about 1.6 MB, so a
+        # writer that held the whole log text, or a block of rows and their
+        # line strings near one log's worth, passes the log's size
+        trace = tmp_path / "step.csv"
+        trace.write_text("0,1e8,hold\n3,2e7,hold\n6,2e7,hold\n")
+        log = tmp_path / "events.csv"
+        argv = ["simulate", "--trace", str(trace), "--controller", "aimd",
+                "--log-out", str(log), "--out", str(tmp_path / "summary.json")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = log.stat().st_size
+        assert size == 2_424_382
+        assert peak < size, peak / size
+
 
 class TestSweep:
     def test_single_cell_matches_bound_command(self, capsys):

@@ -12,7 +12,7 @@ import tracemalloc
 from collections import deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ccbound import packetsim
@@ -311,12 +311,21 @@ def tied_aimd_configs(draw, sizes=DYADIC_SIZES):
     )
 
 
+# 2^16 bit/s for 1 s
+CONSTANT_2_16 = CapacityTrace((Breakpoint(0.0, 2.0**16),), 1.0)
+
+
 class TestTieOrder:
     """Events at equal times run in the order they were scheduled, as in one
     heap keyed (t, seq): checked against that heap on runs full of ties."""
 
     @given(config=tied_aimd_configs())
     @settings(max_examples=300, deadline=None)
+    # logs of 0 and 1 records: no packet sent, and one packet whose
+    # departure, 0.25 s after an arrival in [0.875, 1), falls past the horizon
+    @example(config=PacketSimConfig(CONSTANT_2_16, initial_window=0))
+    @example(config=PacketSimConfig(CONSTANT_2_16, packet_size=2.0**14, forward_delay=0.875,
+                                    initial_window=1))
     def test_log_and_fields_equal_the_all_heap_loop(self, config):
         result = simulate_packets(config)
         expected = all_heap_reference(config)
