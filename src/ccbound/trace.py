@@ -146,10 +146,7 @@ class CapacityTrace:
         t = float(t)
         if not 0.0 <= t <= self.horizon:
             raise ValueError(f"t={t!r} outside trace domain [0, {self.horizon!r}]")
-        start, end, rate, _, end_rate = self._rows[self._index_at(t)]  # type: ignore[attr-defined]
-        if end_rate == rate:
-            return rate
-        return rate + (t - start) / (end - start) * (end_rate - rate)
+        return _rate_in(self._rows[self._index_at(t)], t)  # type: ignore[attr-defined]
 
     def left_limit_at(self, t: float) -> float:
         """Capacity approaching ``t`` from below.
@@ -237,6 +234,15 @@ class CapacityTrace:
             j = bisect_right(cum, target, j if i < j and cum[j] <= target else i + 1, n) - 1
             row = rows[j]
             yield _drain_end(row, row[0], target - cum[j]) - t
+
+
+def _rate_in(row: tuple[float, ...], t: float) -> float:
+    """Capacity at ``t`` inside the segment of ``row``, which starts at or
+    before ``t``: its start rate, or the interpolation toward its end rate."""
+    start, end, rate, _, end_rate = row
+    if end_rate == rate:
+        return rate
+    return rate + (t - start) / (end - start) * (end_rate - rate)
 
 
 def _area(row: tuple[float, ...], a: float, b: float) -> float:

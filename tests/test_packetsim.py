@@ -315,6 +315,76 @@ def tied_aimd_configs(draw, sizes=DYADIC_SIZES):
 CONSTANT_2_16 = CapacityTrace((Breakpoint(0.0, 2.0**16),), 1.0)
 
 
+def paced_sends(packet_size, rate, seed, n):
+    """The first ``n`` send times of the initial burst, paced as the
+    simulator paces them: k*s plus a seeded jitter in [0, s/2), where s is
+    one packet at ``rate``, the trace's rate at 0."""
+    rng = random.Random(seed)
+    spacing = packet_size / rate
+    return [k * spacing + rng.random() * spacing * 0.5 for k in range(n)]
+
+
+def service_starts(result):
+    """The instant each delivered packet's service began: its arrival, or
+    the previous departure if it waited."""
+    arrived = {e.packet_id: e.t for e in result.log if e.event == "enqueue"}
+    starts, free = [], -math.inf
+    for e in result.log:
+        if e.event == "dequeue":
+            starts.append(max(arrived[e.packet_id], free))
+            free = e.t
+    return starts
+
+
+def enqueued_ids(result):
+    return [e.packet_id for e in result.log if e.event == "enqueue"]
+
+
+# Seed 1 draws a smaller jitter for packet 0 than for packet 1, so packet
+# 0's ACK can return before packet 1 is paced out.
+EDGE_SEED = 1
+EDGE_FWD = 2.0**-6
+# The first arrival of a 2^14-bit burst paced at 2^16 and at 201073.1 bit/s
+HOLD_JUMP_AT = paced_sends(2.0**14, 2.0**16, EDGE_SEED, 1)[0] + EDGE_FWD
+RAMP_END_AT = paced_sends(2.0**14, 201073.1, EDGE_SEED, 1)[0] + EDGE_FWD
+# A service start on a hold breakpoint, reached across two rows at once:
+# the packet must be served at the rate after the jump.
+HOLD_JUMP = PacketSimConfig(
+    CapacityTrace((Breakpoint(0.0, 2.0**16), Breakpoint(HOLD_JUMP_AT / 2.0, 2.0**17),
+                   Breakpoint(HOLD_JUMP_AT, 2.0**18), Breakpoint(0.75, 2.0**17)), 1.0),
+    packet_size=2.0**14, forward_delay=EDGE_FWD, initial_window=8, seed=EDGE_SEED)
+# A service start at the end of a falling linear segment; the segment's own
+# interpolation reads 70000.70000000001 there, the next row's start 70000.7.
+RAMP_END = PacketSimConfig(
+    CapacityTrace((Breakpoint(0.0, 201073.1, "linear"), Breakpoint(RAMP_END_AT, 70000.7, "linear"),
+                   Breakpoint(0.75, 2.0**17)), 1.0),
+    packet_size=2.0**14, forward_delay=EDGE_FWD, initial_window=8, seed=EDGE_SEED)
+# Zero delays and no marks: packet 0's ACK, and the send it clocks, land
+# before packet 1 is paced out, so the two arrival FIFOs interleave.
+INTERLEAVED = PacketSimConfig(CONSTANT_2_16, packet_size=2.0**14, forward_delay=0.0,
+                              x_to_b_delay=0.0, reverse_delay=0.0, mark_threshold=1.0,
+                              initial_window=4, seed=EDGE_SEED)
+# Packet 0's ACK returns exactly when packet 1 is paced out, so the send it
+# clocks arrives one forward delay later, at the same instant as packet 1,
+# while packet 1 is still pending.  The x-to-b delay is the exact gap: the
+# two instants lie within a factor of two of each other.
+_T0, _T1 = paced_sends(2.0**14, 2.0**16, EDGE_SEED, 2)
+TIED_ARRIVALS = dataclasses.replace(
+    INTERLEAVED, forward_delay=EDGE_FWD, initial_window=3,
+    x_to_b_delay=_T1 - ((_T0 + EDGE_FWD) + 2.0**14 / 2.0**16))
+
+# The edge each of these examples exists for, checked on its result
+EDGE_CASES = {
+    HOLD_JUMP: lambda result: HOLD_JUMP_AT in service_starts(result),
+    RAMP_END: lambda result: RAMP_END_AT in service_starts(result),
+    INTERLEAVED: lambda result: enqueued_ids(result) != sorted(enqueued_ids(result)),
+    TIED_ARRIVALS: lambda result: any(
+        a.t == b.t and (a.packet_id < 3) != (b.packet_id < 3)
+        for a, b in itertools.combinations(
+            [e for e in result.log if e.event == "enqueue"], 2)),
+}
+
+
 class TestTieOrder:
     """Events at equal times run in the order they were scheduled, as in one
     heap keyed (t, seq): checked against that heap on runs full of ties."""
@@ -326,9 +396,16 @@ class TestTieOrder:
     @example(config=PacketSimConfig(CONSTANT_2_16, initial_window=0))
     @example(config=PacketSimConfig(CONSTANT_2_16, packet_size=2.0**14, forward_delay=0.875,
                                     initial_window=1))
+    # the row cursor and the two arrival FIFOs at their edges; see EDGE_CASES
+    @example(config=HOLD_JUMP)
+    @example(config=RAMP_END)
+    @example(config=INTERLEAVED)
+    @example(config=TIED_ARRIVALS)
     def test_log_and_fields_equal_the_all_heap_loop(self, config):
         result = simulate_packets(config)
         expected = all_heap_reference(config)
+        if config in EDGE_CASES:
+            assert EDGE_CASES[config](result), "the example misses its edge"
         assert result.log == reference_log(expected["records"])
         assert event_log_to_csv(result) == reference_csv(expected["records"])
         for name in ("queue_delay_series", "peak_queue_delay", "congestion_reached",
@@ -356,39 +433,52 @@ class TestQueueBitsReplay:
 
 class TestQueryCount:
     def test_one_capacity_query_per_service_start(self, monkeypatch):
-        # deterministic cost check: one query per service start plus the
-        # initial pacing query, so no per-packet trace work creeps in
+        # deterministic cost check: the initial pacing makes the one checked
+        # query, and each service start reads one rate off the row cursor,
+        # so no per-packet bisection creeps in
         config = saturated_step_config(12e6, 5.0, 0.02, seed=3)
-        capacity_at = CapacityTrace.capacity_at
-        calls = 0
+        capacity_at, rate_in = CapacityTrace.capacity_at, packetsim._rate_in
+        queries = reads = 0
 
-        def counted(self, t):
-            nonlocal calls
-            calls += 1
+        def counted_query(self, t):
+            nonlocal queries
+            queries += 1
             return capacity_at(self, t)
 
-        monkeypatch.setattr(CapacityTrace, "capacity_at", counted)
+        def counted_read(row, t):
+            nonlocal reads
+            reads += 1
+            return rate_in(row, t)
+
+        monkeypatch.setattr(CapacityTrace, "capacity_at", counted_query)
+        monkeypatch.setattr(packetsim, "_rate_in", counted_read)
         result = simulate_packets(config)
         assert result.packets_delivered > 0
-        assert calls <= result.packets_delivered + 2, (calls, result.packets_delivered)
+        assert queries == 1
+        assert reads <= result.packets_delivered + 1, (reads, result.packets_delivered)
 
-
-    def test_only_arrivals_go_through_the_heap(self, monkeypatch):
-        # the one pending departure sits in a slot and the ACKs in a FIFO,
-        # so the heap sees one push per packet sent
+    def test_a_saturated_run_makes_no_heap_operations(self, monkeypatch):
+        # the one pending departure sits in a slot, and the ACKs and both
+        # kinds of arrival in FIFOs already in time order
         config = saturated_step_config(12e6, 5.0, 0.02, seed=3)
-        heappush = packetsim.heapq.heappush
-        pushes = 0
+        heappush, heappop = heapq.heappush, heapq.heappop
+        calls = 0
 
-        def counted(heap, item):
-            nonlocal pushes
-            pushes += 1
+        def counted_push(heap, item):
+            nonlocal calls
+            calls += 1
             heappush(heap, item)
 
-        monkeypatch.setattr(packetsim.heapq, "heappush", counted)
+        def counted_pop(heap):
+            nonlocal calls
+            calls += 1
+            return heappop(heap)
+
+        monkeypatch.setattr(heapq, "heappush", counted_push)
+        monkeypatch.setattr(heapq, "heappop", counted_pop)
         result = simulate_packets(config)
         assert result.packets_delivered > 0
-        assert pushes == result.packets_sent, (pushes, result.packets_sent)
+        assert calls == 0
 
 
 class TestSawtooth:
