@@ -146,7 +146,8 @@ class CapacityTrace:
         t = float(t)
         if not 0.0 <= t <= self.horizon:
             raise ValueError(f"t={t!r} outside trace domain [0, {self.horizon!r}]")
-        return _rate_in(self._rows[self._index_at(t)], t)  # type: ignore[attr-defined]
+        # the bisection is inlined, so the query still makes one nested call
+        return _rate_in(self._rows[bisect_right(self._times, t) - 1], t)  # type: ignore[attr-defined]
 
     def left_limit_at(self, t: float) -> float:
         """Capacity approaching ``t`` from below.

@@ -354,7 +354,7 @@ HOLD_JUMP = PacketSimConfig(
                    Breakpoint(HOLD_JUMP_AT, 2.0**18), Breakpoint(0.75, 2.0**17)), 1.0),
     packet_size=2.0**14, forward_delay=EDGE_FWD, initial_window=8, seed=EDGE_SEED)
 # A service start at the end of a falling linear segment; the segment's own
-# interpolation reads 70000.70000000001 there, the next row's start 70000.7.
+# interpolation reads 70000.69999999998 there, the next row's start 70000.7.
 RAMP_END = PacketSimConfig(
     CapacityTrace((Breakpoint(0.0, 201073.1, "linear"), Breakpoint(RAMP_END_AT, 70000.7, "linear"),
                    Breakpoint(0.75, 2.0**17)), 1.0),
@@ -378,6 +378,7 @@ EDGE_CASES = {
     HOLD_JUMP: lambda result: HOLD_JUMP_AT in service_starts(result),
     RAMP_END: lambda result: RAMP_END_AT in service_starts(result),
     INTERLEAVED: lambda result: enqueued_ids(result) != sorted(enqueued_ids(result)),
+    # the paced packets' ids lie below the initial window of 3, the sent ones' not
     TIED_ARRIVALS: lambda result: any(
         a.t == b.t and (a.packet_id < 3) != (b.packet_id < 3)
         for a, b in itertools.combinations(
