@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import math
+import pickle
 from bisect import bisect_right
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +17,7 @@ from hypothesis import strategies as st
 from ccbound.cli import main
 from ccbound.trace import (
     Breakpoint,
+    CapacityEvent,
     CapacityTrace,
     SegmentMode,
     TraceParseError,
@@ -224,6 +230,152 @@ class TestConstruction:
     def test_times_strictly_increasing(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             CapacityTrace((Breakpoint(0.0, 1e8), Breakpoint(0.0, 1e7)), 5.0)
+
+
+# What a breakpoint or an event accepts: each argument goes through float()
+# (a mode is a SegmentMode or its exact value string), and the fields are
+# checked in order, so the first bad one names the error.
+ACCEPTED = {
+    "bp_ints": (Breakpoint, (0, 1), (0.0, 1.0, SegmentMode.HOLD)),
+    "bp_strings": (Breakpoint, ("1.5", " 2e6 ", "linear"), (1.5, 2e6, SegmentMode.LINEAR)),
+    "bp_decimal": (Breakpoint, (Decimal("0.1"), True, SegmentMode.LINEAR), (0.1, 1.0, SegmentMode.LINEAR)),
+    "bp_negative_zero": (Breakpoint, (-0.0, 1e8, "hold"), (-0.0, 1e8, SegmentMode.HOLD)),
+    "ev_ints": (CapacityEvent, (1, 200, 100, 0), (1.0, 200.0, 100.0, 0.0)),
+    "ev_strings": (CapacityEvent, ("0.5", "2e8", Fraction(1, 2), "1e-3"), (0.5, 2e8, 0.5, 1e-3)),
+}
+
+REJECTED = {
+    "bp_time_text": (Breakpoint, ("a", 1e8), ValueError, "could not convert string to float: 'a'"),
+    "bp_time_none": (Breakpoint, (None, 1e8), TypeError,
+                     "float() argument must be a string or a real number, not 'NoneType'"),
+    "bp_time_negative": (Breakpoint, (-1, 1e8), ValueError,
+                         "breakpoint time must be finite and >= 0 seconds, got -1.0"),
+    "bp_time_nan": (Breakpoint, ("nan", 1e8), ValueError,
+                    "breakpoint time must be finite and >= 0 seconds, got nan"),
+    "bp_time_inf": (Breakpoint, (math.inf, 1e8), ValueError,
+                    "breakpoint time must be finite and >= 0 seconds, got inf"),
+    "bp_rate_text": (Breakpoint, (0.0, "1e8 bit/s"), ValueError,
+                     "could not convert string to float: '1e8 bit/s'"),
+    "bp_rate_zero": (Breakpoint, (0.0, 0), ValueError,
+                     "breakpoint rate must be finite and > 0 bit/s, got 0.0"),
+    "bp_rate_negative": (Breakpoint, (0.0, -5.0), ValueError,
+                         "breakpoint rate must be finite and > 0 bit/s, got -5.0"),
+    "bp_rate_nan": (Breakpoint, (0.0, math.nan), ValueError,
+                    "breakpoint rate must be finite and > 0 bit/s, got nan"),
+    "bp_rate_inf": (Breakpoint, (0.0, "-inf"), ValueError,
+                    "breakpoint rate must be finite and > 0 bit/s, got -inf"),
+    "bp_mode_unknown": (Breakpoint, (0.0, 1e8, "step"), ValueError,
+                        "unknown segment mode 'step' (expected 'hold' or 'linear')"),
+    "bp_mode_upper_case": (Breakpoint, (0.0, 1e8, "HOLD"), ValueError,
+                           "unknown segment mode 'HOLD' (expected 'hold' or 'linear')"),
+    "bp_mode_unhashable": (Breakpoint, (0.0, 1e8, ["hold"]), ValueError,
+                           "unknown segment mode ['hold'] (expected 'hold' or 'linear')"),
+    "bp_mode_none": (Breakpoint, (0.0, 1e8, None), ValueError,
+                     "unknown segment mode None (expected 'hold' or 'linear')"),
+    "bp_missing_rate": (Breakpoint, (0.0,), TypeError,
+                        "Breakpoint.__init__() missing 1 required positional argument: 'rate'"),
+    "bp_time_before_rate_and_mode": (Breakpoint, (-1, 0, "x"), ValueError,
+                                     "breakpoint time must be finite and >= 0 seconds, got -1.0"),
+    "bp_text_before_none": (Breakpoint, ("a", None, []), ValueError,
+                            "could not convert string to float: 'a'"),
+    "bp_rate_before_mode": (Breakpoint, (1, math.inf, "x"), ValueError,
+                            "breakpoint rate must be finite and > 0 bit/s, got inf"),
+    "ev_onset_negative": (CapacityEvent, (-1, 2e8, 1e8, 0), ValueError,
+                          "event onset must be finite and >= 0 seconds, got -1.0"),
+    "ev_onset_none": (CapacityEvent, (None, 2e8, 1e8, 0), TypeError,
+                      "float() argument must be a string or a real number, not 'NoneType'"),
+    "ev_pre_zero": (CapacityEvent, (1, 0, 1e8, 0), ValueError,
+                    "pre_rate must be finite and > 0 bit/s, got 0.0"),
+    "ev_post_nan": (CapacityEvent, (1, 2e8, "nan", 0), ValueError,
+                    "post_rate must be finite and > 0 bit/s, got nan"),
+    "ev_ramp_negative": (CapacityEvent, (1, 2e8, 1e8, -0.5), ValueError,
+                         "ramp_duration must be finite and >= 0 seconds, got -0.5"),
+    "ev_ramp_text": (CapacityEvent, (1, 2e8, 1e8, "1ms"), ValueError,
+                     "could not convert string to float: '1ms'"),
+    "ev_not_a_reduction": (CapacityEvent, (1, 1e8, 1e8, 0), ValueError,
+                           "an event is a reduction: post_rate must be < pre_rate "
+                           "(got 100000000.0 -> 100000000.0)"),
+    "ev_an_increase": (CapacityEvent, (1, "1e7", 2e7, 0), ValueError,
+                       "an event is a reduction: post_rate must be < pre_rate "
+                       "(got 10000000.0 -> 20000000.0)"),
+    "ev_missing_ramp": (CapacityEvent, (1, 2e8, 1e8), TypeError,
+                        "CapacityEvent.__init__() missing 1 required positional argument: "
+                        "'ramp_duration'"),
+    "ev_onset_first": (CapacityEvent, ("inf", 0, None, -1), ValueError,
+                       "event onset must be finite and >= 0 seconds, got inf"),
+    "ev_pre_before_post": (CapacityEvent, (1, -1, 0, 0), ValueError,
+                           "pre_rate must be finite and > 0 bit/s, got -1.0"),
+    "ev_post_before_ramp": (CapacityEvent, (1, 1e8, 0, -1), ValueError,
+                            "post_rate must be finite and > 0 bit/s, got 0.0"),
+    "ev_ramp_before_reduction": (CapacityEvent, (1, 1e7, 2e7, "inf"), ValueError,
+                                 "ramp_duration must be finite and >= 0 seconds, got inf"),
+}
+
+
+class TestConstructionContract:
+    @pytest.mark.parametrize("cls, args, fields_", ACCEPTED.values(), ids=ACCEPTED)
+    def test_accepted_arguments_are_coerced(self, cls, args, fields_):
+        obj = cls(*args)
+        values = tuple(getattr(obj, f.name) for f in dataclasses.fields(cls))
+        assert values == fields_
+        assert all(type(v) is float for v in values if not isinstance(v, SegmentMode))
+        assert [math.copysign(1.0, v) for v in values if type(v) is float] == [
+            math.copysign(1.0, v) for v in fields_ if type(v) is float
+        ]
+        assert obj == cls(**{f.name: v for f, v in zip(dataclasses.fields(cls), fields_)})
+
+    @pytest.mark.parametrize("cls, args, exc, message", REJECTED.values(), ids=REJECTED)
+    def test_the_first_bad_field_names_the_error(self, cls, args, exc, message):
+        with pytest.raises(Exception) as info:
+            cls(*args)
+        assert type(info.value) is exc
+        assert str(info.value) == message
+        assert info.value.__cause__ is None
+
+    def test_breakpoint_is_a_slotted_frozen_dataclass(self):
+        bp = Breakpoint(1, 2e6, "linear")
+        assert [f.name for f in dataclasses.fields(Breakpoint)] == ["time", "rate", "mode"]
+        assert dataclasses.fields(Breakpoint)[2].default is SegmentMode.HOLD
+        assert Breakpoint.__match_args__ == ("time", "rate", "mode")
+        assert not hasattr(bp, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            bp.rate = 1.0  # type: ignore[misc]
+        assert repr(bp) == "Breakpoint(time=1.0, rate=2000000.0, mode=<SegmentMode.LINEAR: 'linear'>)"
+        assert dataclasses.asdict(bp) == {"time": 1.0, "rate": 2e6, "mode": SegmentMode.LINEAR}
+        assert bp == Breakpoint(1.0, 2e6, SegmentMode.LINEAR) != Breakpoint(1.0, 2e6)
+        assert hash(bp) == hash(Breakpoint(1.0, 2e6, SegmentMode.LINEAR))
+        assert hash(Breakpoint(0, 1)) == hash((0.0, 1.0, SegmentMode.HOLD))
+        match bp:
+            case Breakpoint(t, r, SegmentMode.LINEAR):
+                assert (t, r) == (1.0, 2e6)
+            case _:
+                pytest.fail("positional pattern did not match")
+
+    def test_event_is_a_frozen_dataclass(self):
+        ev = CapacityEvent(1, 2e8, 1e8, 0)
+        assert [f.name for f in dataclasses.fields(CapacityEvent)] == [
+            "onset", "pre_rate", "post_rate", "ramp_duration"]
+        assert CapacityEvent.__match_args__ == ("onset", "pre_rate", "post_rate", "ramp_duration")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ev.onset = 2.0  # type: ignore[misc]
+        assert repr(ev) == "CapacityEvent(onset=1.0, pre_rate=200000000.0, post_rate=100000000.0, ramp_duration=0.0)"
+        assert dataclasses.asdict(ev) == {
+            "onset": 1.0, "pre_rate": 2e8, "post_rate": 1e8, "ramp_duration": 0.0}
+        assert ev == CapacityEvent(1.0, 2e8, 1e8, 0.0) != CapacityEvent(1.0, 2e8, 1e8, 0.1)
+        assert hash(ev) == hash((1.0, 2e8, 1e8, 0.0))
+        assert ev.c_factor == 2.0
+
+    @pytest.mark.parametrize("obj", [Breakpoint(1, "3e6", "linear"), CapacityEvent("2", 2e8, 5e7, 1)],
+                             ids=["breakpoint", "event"])
+    def test_replace_checks_and_copies_round_trip(self, obj):
+        name = dataclasses.fields(obj)[1].name  # a rate in both classes
+        changed = dataclasses.replace(obj, **{name: "1e9"})
+        assert getattr(changed, name) == 1e9 and type(changed) is type(obj)
+        assert dataclasses.replace(changed, **{name: getattr(obj, name)}) == obj
+        with pytest.raises(ValueError, match="> 0 bit/s, got 0.0"):
+            dataclasses.replace(obj, **{name: 0})
+        for copy_ in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj), copy.copy(obj)):
+            assert type(copy_) is type(obj) and copy_ == obj and repr(copy_) == repr(obj)
 
 
 class TestCapacityAt:
