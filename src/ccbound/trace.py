@@ -56,24 +56,37 @@ class SegmentMode(enum.Enum):
     LINEAR = "linear"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Breakpoint:
-    """One (time, rate) anchor plus the behaviour of the segment it opens."""
+    """One (time, rate) anchor plus the behaviour of the segment it opens.
+
+    ``time`` and ``rate`` are anything ``float()`` takes, ``mode`` is a
+    :class:`SegmentMode` or its exact value string.  The fields are checked
+    in order, the first bad one raising, and ``__init__`` sets each once: a
+    subclass hooks ``__init__``, as no ``__post_init__`` runs.
+    """
 
     time: float
     rate: float
     mode: SegmentMode = SegmentMode.HOLD
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "time", check_seconds(self.time, "breakpoint time"))
-        object.__setattr__(self, "rate", check_rate(self.rate, "breakpoint rate"))
-        if not isinstance(self.mode, SegmentMode):
+    def __init__(self, time: float, rate: float, mode: SegmentMode | str = SegmentMode.HOLD) -> None:
+        # only a value out of range calls the check, which then raises
+        time = float(time)
+        _set_time(self, time if 0.0 <= time < math.inf else check_seconds(time, "breakpoint time"))
+        rate = float(rate)
+        _set_rate(self, rate if 0.0 < rate < math.inf else check_rate(rate, "breakpoint rate"))
+        if mode.__class__ is not SegmentMode:
             try:
-                object.__setattr__(self, "mode", SegmentMode(self.mode))
-            except ValueError:
-                raise ValueError(
-                    f"unknown segment mode {self.mode!r} (expected 'hold' or 'linear')"
-                ) from None
+                mode = _MODES[mode]
+            except (KeyError, TypeError):
+                raise ValueError(f"unknown segment mode {mode!r} (expected 'hold' or 'linear')") from None
+        _set_mode(self, mode)
+
+
+_MODES = {m.value: m for m in SegmentMode}
+# the slots' own setters, which the frozen class's __setattr__ does not guard
+_set_time, _set_rate, _set_mode = (Breakpoint.__dict__[f].__set__ for f in ("time", "rate", "mode"))
 
 
 @dataclass(frozen=True)
@@ -125,9 +138,9 @@ class CapacityTrace:
         ]
         rows.append((bps[-1].time, horizon, bps[-1].rate, 0.0, bps[-1].rate))
         object.__setattr__(self, "_rows", tuple(rows))
-        # _cum[i] = C(times[i]), the bits served at full utilisation from 0
-        # to breakpoint i; the extra last entry is C(horizon).
-        cum = accumulate((_area(row, row[0], row[1]) for row in rows), initial=0.0)
+        # _cum[i] = C(times[i]), the bits served at full utilisation from 0 to
+        # breakpoint i, each row's _area inlined; the last entry is C(horizon).
+        cum = accumulate(((e - s) * (r + 0.5 * k * (e - s)) for s, e, r, k, _ in rows), initial=0.0)
         object.__setattr__(self, "_cum", tuple(cum))
         # detect_events fills this in on first use; a slot made here keeps
         # attribute reads on the trace as fast as before it is filled
@@ -262,22 +275,24 @@ def _drain_end(row: tuple[float, ...], start: float, rest: float) -> float:
     return min(start + x, end)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CapacityEvent:
-    """One maximal capacity reduction: a step (ramp_duration 0) or a ramp."""
+    """One maximal capacity reduction: a step (ramp_duration 0) or a ramp.
+
+    Built as a :class:`Breakpoint` is, every field through ``float()``;
+    ``post_rate < pre_rate`` is checked after the fields.
+    """
 
     onset: float
     pre_rate: float
     post_rate: float
     ramp_duration: float
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "onset", check_seconds(self.onset, "event onset"))
-        object.__setattr__(self, "pre_rate", check_rate(self.pre_rate, "pre_rate"))
-        object.__setattr__(self, "post_rate", check_rate(self.post_rate, "post_rate"))
-        object.__setattr__(
-            self, "ramp_duration", check_seconds(self.ramp_duration, "ramp_duration")
-        )
+    def __init__(self, onset: float, pre_rate: float, post_rate: float, ramp_duration: float) -> None:
+        object.__setattr__(self, "onset", check_seconds(onset, "event onset"))
+        object.__setattr__(self, "pre_rate", check_rate(pre_rate, "pre_rate"))
+        object.__setattr__(self, "post_rate", check_rate(post_rate, "post_rate"))
+        object.__setattr__(self, "ramp_duration", check_seconds(ramp_duration, "ramp_duration"))
         if self.post_rate >= self.pre_rate:
             raise ValueError(
                 "an event is a reduction: post_rate must be < pre_rate "

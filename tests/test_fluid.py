@@ -606,9 +606,9 @@ class TestEventsOnce:
         built = []
 
         class CountedEvent(trace_module.CapacityEvent):
-            def __post_init__(self):
+            def __init__(self, *args):
+                super().__init__(*args)
                 built.append(self)
-                super().__post_init__()
 
         monkeypatch.setattr(trace_module, "CapacityEvent", CountedEvent)
         # three steps down, each followed by a step back up
