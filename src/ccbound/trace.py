@@ -279,8 +279,8 @@ def _drain_end(row: tuple[float, ...], start: float, rest: float) -> float:
 class CapacityEvent:
     """One maximal capacity reduction: a step (ramp_duration 0) or a ramp.
 
-    Built as a :class:`Breakpoint` is, every field through ``float()``;
-    ``post_rate < pre_rate`` is checked after the fields.
+    Each field goes through ``float()`` and is checked in order, then
+    ``post_rate < pre_rate``; a subclass hooks ``__init__``, as for :class:`Breakpoint`.
     """
 
     onset: float
