@@ -104,14 +104,12 @@ class SweepGrid:
 
     def rows(self) -> Iterator[tuple[float, float, float, float]]:
         """Long-form (c, d, d_ramp, q_seconds) rows in deterministic order."""
-        for i, c in enumerate(self.c_values):
-            for j, t in enumerate(self.time_values):
-                q = self.results[i][j]
+        for c, qs in zip(self.c_values, self.results):
+            for t, q in zip(self.time_values, qs):
                 if self.kind == "step":
                     yield (c, t, 0.0, q)
                 else:
-                    assert self.signal_delay is not None
-                    yield (c, self.signal_delay, t, q)
+                    yield (c, self.signal_delay, t, q)  # type: ignore[misc]
 
 
 def sweep(
@@ -132,17 +130,15 @@ def sweep(
     if (d_values is None) == (d_ramp_values is None):
         raise ValueError("pass exactly one of d_values / d_ramp_values")
     if d_values is not None:
-        ts = tuple(check_seconds(d, "signal_delay") for d in d_values)
-        if not ts:
-            raise ValueError("d_values must be non-empty")
-        results = tuple(tuple(peak_delay_step(c, d) for d in ts) for c in cs)
-        return SweepGrid("step", cs, ts, None, results)
-    if signal_delay is None:
-        raise ValueError("a ramp sweep needs the fixed signal_delay")
-    d = check_seconds(signal_delay, "signal_delay")
-    assert d_ramp_values is not None
-    ts = tuple(check_seconds(r, "ramp_duration") for r in d_ramp_values)
+        kind, name, values, check, d = "step", "d_values", d_values, "signal_delay", None
+        q = peak_delay_step
+    else:
+        if signal_delay is None:
+            raise ValueError("a ramp sweep needs the fixed signal_delay")
+        kind, name, values, check = "ramp", "d_ramp_values", d_ramp_values, "ramp_duration"
+        d = check_seconds(signal_delay, "signal_delay")
+        q = lambda c, r: peak_delay_ramp(c, d, r)  # noqa: E731
+    ts = tuple(check_seconds(t, check) for t in values)
     if not ts:
-        raise ValueError("d_ramp_values must be non-empty")
-    results = tuple(tuple(peak_delay_ramp(c, d, r) for r in ts) for c in cs)
-    return SweepGrid("ramp", cs, ts, d, results)
+        raise ValueError(f"{name} must be non-empty")
+    return SweepGrid(kind, cs, ts, d, tuple(tuple(q(c, t) for t in ts) for c in cs))

@@ -144,7 +144,6 @@ def _shifted_trace(trace: CapacityTrace, delay: float, horizon: float) -> Capaci
     bps: list[Breakpoint] = []
     if delay > 0.0:
         bps.append(Breakpoint(0.0, trace.capacity_at(0.0)))
-    truncated = False
     for bp in trace.breakpoints:
         t = bp.time + delay
         if bps and t <= bps[-1].time:
@@ -155,15 +154,12 @@ def _shifted_trace(trace: CapacityTrace, delay: float, horizon: float) -> Capaci
             else:
                 t = bps.pop().time
         if t > horizon:
-            truncated = True
             break
         mode = bp.mode if t < horizon else SegmentMode.HOLD
         bps.append(Breakpoint(t, bp.rate, mode))
-    if truncated and bps[-1].mode is SegmentMode.LINEAR:
-        # a linear segment straddles the horizon: pin its value there
-        bps.append(Breakpoint(horizon, trace.capacity_at(horizon - delay)))
     if bps[-1].mode is SegmentMode.LINEAR:
-        bps[-1] = Breakpoint(bps[-1].time, bps[-1].rate, SegmentMode.HOLD)
+        # only a cut leaves a ramp last: it straddles the horizon, so pin its value there
+        bps.append(Breakpoint(horizon, trace.capacity_at(horizon - delay)))
     return CapacityTrace(tuple(bps), horizon)
 
 
@@ -237,9 +233,9 @@ class FluidResult:
     ``segments`` tile [0, horizon]: the first starts at 0, each ends where
     the next starts, and the last ends at the horizon.  Nothing is lost, so
     ``bits_in - bits_out`` equals the final backlog ``backlog_at(horizon)``
-    up to rounding.  The pieces are stored as five float columns, and
-    ``segments`` builds a tuple of :class:`BacklogSegment` from them on
-    each read, so a caller that walks it more than once binds it once.
+    up to rounding.  The pieces are stored as four float columns, start and
+    coefficients, and ``segments`` builds a tuple of :class:`BacklogSegment`
+    from them on each read, so a caller that walks it twice binds it once.
     ``events`` are the trace's reductions with an onset before the
     horizon, the only ones the run simulates.
 
@@ -263,9 +259,8 @@ class FluidResult:
     trace: CapacityTrace
     events: tuple[CapacityEvent, ...]
     horizon: float
-    # The pieces in time order, one column per BacklogSegment field.
+    # The pieces in time order; a piece's t_end is the next one's t_start.
     _t_start: tuple[float, ...] = field(repr=False)
-    _t_end: tuple[float, ...] = field(repr=False)
     _q0: tuple[float, ...] = field(repr=False)
     _q1: tuple[float, ...] = field(repr=False)
     _q2: tuple[float, ...] = field(repr=False)
@@ -273,7 +268,8 @@ class FluidResult:
     @property
     def segments(self) -> tuple[BacklogSegment, ...]:
         """The backlog pieces in time order, built from the columns on each read."""
-        return tuple(map(BacklogSegment, self._t_start, self._t_end, self._q0, self._q1, self._q2))
+        starts = self._t_start
+        return tuple(map(BacklogSegment, starts, (*starts[1:], self.horizon), self._q0, self._q1, self._q2))
 
     def backlog_at(self, t: float) -> float:
         """Exact backlog in bits at ``t`` in [0, horizon]."""
@@ -330,7 +326,7 @@ def simulate_fluid(config: SimConfig) -> FluidResult:
         cuts.update(t for t in src.times if 0.0 < t < h)
     grid = sorted(cuts)
 
-    starts, ends, q0s, q1s, q2s = [], [], [], [], []
+    starts, q0s, q1s, q2s = [], [], [], []
     # Candidate instants for the worst FIFO wait: piece starts plus
     # interior backlog maxima, and the horizon.  This is only a lower
     # envelope of the true peak: where later backlog cannot drain before
@@ -377,7 +373,6 @@ def simulate_fluid(config: SimConfig) -> FluidResult:
                 # step sees the new state and the rest of the cell is solved
                 end = math.nextafter(cur, v)
             starts.append(cur)
-            ends.append(end)
             q0s.append(q0)
             q1s.append(q1)
             q2s.append(q2)
@@ -420,7 +415,6 @@ def simulate_fluid(config: SimConfig) -> FluidResult:
         events=events,
         horizon=h,
         _t_start=tuple(starts),
-        _t_end=tuple(ends),
         _q0=tuple(q0s),
         _q1=tuple(q1s),
         _q2=tuple(q2s),

@@ -166,7 +166,8 @@ def simulate_packets(config: PacketSimConfig) -> PacketSimResult:
     """Run the discrete-event loop up to the trace horizon.
 
     A packet's service time is packet_size / capacity at its service start,
-    held for the whole packet; the queue is work-conserving and FIFO.  Each
+    held for the whole packet.  The queue is FIFO, and service starts in one
+    place: whenever the server is idle and the queue is not empty.  Each
     step runs the earliest of four pending events: the departure in service,
     the oldest ACK in flight, and the oldest arrival of the initial burst and
     of the ACK-clocked sends; ties run in the order they were scheduled.  A
@@ -247,10 +248,6 @@ def simulate_packets(config: PacketSimConfig) -> PacketSimResult:
             queue.append((pid, t))
             codes.append(_ENQUEUED)
             packet_ids.append(pid)
-            if len(queue) == 1:  # the server was idle
-                while next_starts[r] <= t:
-                    r += 1
-                departure = (t + pkt / _rate_in(rows[r], t), next(seq), _DEPART, pid)
         elif kind == _DEPART:
             head, arrived = queue.popleft()
             assert head == pid  # FIFO service order
@@ -262,16 +259,6 @@ def simulate_packets(config: PacketSimConfig) -> PacketSimResult:
             # departures never go back in time, so neither do the ACKs
             acks.append((t + xb + rev, next(seq), _MARKED_ACK if mark else _ACK, pid))
             departure = _NO_EVENT
-            if queue:
-                head, arrived = queue[0]
-                while next_starts[r] <= t:
-                    r += 1
-                service = pkt / _rate_in(rows[r], t)
-                # saturated means a packet waited at least one full packet
-                # behind others, not just the phase overlap of the initial burst
-                if t <= warm_end and t - arrived > service:
-                    congestion_seen = True
-                departure = (t + service, next(seq), _DEPART, head)
         else:  # ACK back at the sender
             acks.popleft()
             in_flight -= 1
@@ -295,6 +282,17 @@ def simulate_packets(config: PacketSimConfig) -> PacketSimResult:
                     sent.append((t + fwd, next(seq), _ARRIVE, new_pid))
                 next_pid += burst
                 in_flight += burst
+            continue
+        if queue and departure is _NO_EVENT:
+            head, arrived = queue[0]
+            while next_starts[r] <= t:
+                r += 1
+            service = pkt / _rate_in(rows[r], t)
+            # saturated means a packet waited at least one full packet
+            # behind others, not just the phase overlap of the initial burst
+            if t <= warm_end and t - arrived > service:
+                congestion_seen = True
+            departure = (t + service, next(seq), _DEPART, head)
 
     return PacketSimResult(
         config=config,

@@ -151,9 +151,6 @@ class CapacityTrace:
         """Breakpoint times, ascending."""
         return self._times  # type: ignore[attr-defined]
 
-    def _index_at(self, t: float) -> int:
-        return bisect_right(self._times, t) - 1  # type: ignore[attr-defined]
-
     def capacity_at(self, t: float) -> float:
         """Exact capacity at ``t`` in [0, horizon]; right-continuous at holds."""
         t = float(t)
@@ -170,7 +167,7 @@ class CapacityTrace:
         """
         t = float(t)
         if 0.0 < t <= self.horizon:
-            i = self._index_at(t)
+            i = bisect_right(self._times, t) - 1  # type: ignore[attr-defined]
             if self._times[i] == t:  # type: ignore[attr-defined]
                 return self._rows[i - 1][4]  # type: ignore[attr-defined]
         return self.capacity_at(t)
@@ -189,8 +186,8 @@ class CapacityTrace:
             raise ValueError(
                 f"integration interval [{t0!r}, {t1!r}] invalid for domain [0, {self.horizon!r}]"
             )
-        rows, cum = self._rows, self._cum  # type: ignore[attr-defined]
-        i, j = self._index_at(t0), self._index_at(t1)
+        times, rows, cum = self._times, self._rows, self._cum  # type: ignore[attr-defined]
+        i, j = bisect_right(times, t0) - 1, bisect_right(times, t1) - 1
         first = rows[i]
         if i == j:
             return _area(first, t0, t1)
