@@ -189,6 +189,9 @@ class TestSweep:
             sweep([2.0], d_values=[0.01], d_ramp_values=[0.01])
         with pytest.raises(ValueError):
             sweep([2.0], d_ramp_values=[0.01])  # missing the fixed signal delay
+        with pytest.raises(ValueError) as info:
+            sweep([2.0], d_ramp_values=[], signal_delay=0.01)
+        assert str(info.value) == "d_ramp_values must be non-empty"
 
     def test_csv_long_form(self, capsys):
         assert main(["sweep", "--c-list", "2", "--delay-list-ms", "10,20"]) == 0

@@ -238,6 +238,20 @@ class TestSimulate:
         assert comparison["measured_peak_ms"] < comparison["bound_ms"] - comparison["slack_ms"]
         assert comparison["violation"] is False
 
+    def test_aimd_without_packets_reports_the_comparison_error(self, capsys):
+        # no packet is ever sent, so none is dequeued after the reduction
+        code, out, err = run_cli(
+            capsys, "simulate", "--scenario", "wifi-step", "--controller", "aimd",
+            "--initial-window", "0",
+        )
+        assert (code, err) == (0, "")
+        summary = parse_envelope(out)["results"]["summary"]
+        assert summary["packets_sent"] == 0
+        assert summary["bound_comparison"] == {
+            "error": "no dequeues at or after the event onset 1.0s; "
+            "the simulation does not cover the event window"
+        }
+
     def test_aimd_dominates_oracle(self, capsys):
         code, out, _ = run_cli(
             capsys, "simulate", "--scenario", "ramp-contention",
@@ -660,6 +674,14 @@ class TestScenarioCommand:
         assert trace.horizon == 5.0
         assert trace.capacity_at(0.0) == 144.4e6
 
+    def test_emit_takes_the_mcs_walk_rates(self, capsys):
+        code, out, err = run_cli(
+            capsys, "scenario", "--emit", "wifi-mcs-walk",
+            "--scenario-param", "rates_mbps=100:10", "--scenario-param", "dwell_ms=500",
+        )
+        assert (code, err) == (0, "")
+        assert out == "time_s,rate_bps,mode\n0.0,100000000.0,hold\n0.5,10000000.0,hold\n1.0,10000000.0,hold\n"
+
     def test_unknown_table_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "scenario", "--table", "mars")
         assert code == 2
@@ -714,6 +736,67 @@ class TestIngest:
         assert code == 2
         assert out == ""
         assert "--format" in err
+
+
+# Invocations refused before any output, each with its whole stderr; all exit 2.
+USAGE_ERRORS = {
+    "malformed_delay_list": (
+        ["sweep", "--c-list", "2", "--delay-list-ms", "1,x"],
+        "error: --delay-list-ms contains a malformed number: '1,x'\n",
+    ),
+    "scenario_param_without_equals": (
+        ["simulate", "--scenario", "wifi-step", "--scenario-param", "onset", "--controller", "fixed:1"],
+        "error: scenario parameter must look like key=value, got 'onset'\n",
+    ),
+    "unknown_scenario_param": (
+        ["simulate", "--scenario", "wifi-step", "--scenario-param", "speed=3", "--controller", "fixed:1"],
+        "error: unknown scenario parameter 'speed'; known: c_factor, dwell_ms, horizon_ms, "
+        "onset_ms, post_mbps, pre_mbps, ramp_ms, rates_mbps\n",
+    ),
+    "one_mcs_walk_rate": (
+        ["scenario", "--emit", "wifi-mcs-walk", "--scenario-param", "rates_mbps=100"],
+        "error: wifi-mcs-walk needs at least two rate levels\n",
+    ),
+    "trace_and_scenario": (
+        ["simulate", "--trace", "trace.csv", "--scenario", "wifi-step", "--controller", "fixed:1"],
+        "error: pass --trace or --scenario, not both\n",
+    ),
+    "no_trace_source": (
+        ["simulate", "--controller", "fixed:1"],
+        "error: need a trace source: --trace <csv path> or --scenario <name>\n",
+    ),
+    "aimd_with_horizon": (
+        ["simulate", "--scenario", "wifi-step", "--controller", "aimd", "--horizon-ms", "1000"],
+        "error: --horizon-ms is not supported with the aimd controller; set the trace horizon "
+        "instead (scenario parameter horizon_ms or the trace CSV)\n",
+    ),
+    "two_presets": (
+        ["sweep", "--fig5", "--fig7"],
+        "error: pick at most one preset (--fig5 or --fig7)\n",
+    ),
+    "sweep_without_c_list": (
+        ["sweep", "--delay-list-ms", "1"],
+        "error: need --c-list (or a preset)\n",
+    ),
+    "both_list_flags": (
+        ["sweep", "--c-list", "2", "--delay-list-ms", "1", "--ramp-list-ms", "1"],
+        "error: pass exactly one of --delay-list-ms / --ramp-list-ms\n",
+    ),
+    "no_list_flag": (
+        ["sweep", "--c-list", "2"],
+        "error: pass exactly one of --delay-list-ms / --ramp-list-ms\n",
+    ),
+    "scenario_without_action": (
+        ["scenario"],
+        "error: pass --list, --table <name>, or --emit <scenario>\n",
+    ),
+}
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv, stderr", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
+    def test_exit_2_with_the_message(self, capsys, argv, stderr):
+        assert run_cli(capsys, *argv) == (2, "", stderr)
 
 
 class TestParser:

@@ -9,7 +9,7 @@ import json
 import math
 import pickle
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 
 import numpy as np
@@ -66,6 +66,10 @@ def tracking_peak_numeric(pre, post, onset, ramp, delay, horizon, dt=1e-6):
     floor = np.minimum(np.minimum.accumulate(cum), 0.0)
     backlog = cum - floor
     return float(backlog.max()) / post
+
+
+# 1e8 bit/s falling linearly to 1e7 bit/s from 1 s to 1.5 s, until 4 s
+RAMP_1_TO_1_5 = make_ramp_trace(1e8, 1e7, 1.0, 0.5, 4.0)
 
 
 class TestSenderRate:
@@ -134,20 +138,37 @@ class TestSenderRate:
         assert shifted.capacity_at(1.005) == pytest.approx(trace.capacity_at(0.005))
         assert shifted.integrate(1.0, 1.5) == pytest.approx(trace.integrate(0.0, 0.5))
 
-    @given(trace=close_traces(), share=st.floats(0.0, 0.9))
+    @given(
+        trace=st.one_of(close_traces(), late_traces()),
+        share=st.floats(0.0, 0.9),
+        cut=st.one_of(st.none(), st.floats(0.0, 1.0)),
+    )
+    # the run ends a few ulp into the shifted ramp, 1.25 to 1.75 s
+    @example(trace=RAMP_1_TO_1_5, share=0.0625, cut=math.nextafter(math.nextafter(0.3125, 1.0), 1.0))
+    # the shifted ramp's start lands exactly on the run's end
+    @example(trace=RAMP_1_TO_1_5, share=0.0625, cut=0.3125)
+    # a delay of one ulp of zero: 5e-324 s
+    @example(trace=CapacityTrace((Breakpoint(0.0, 1e8, "linear"), Breakpoint(0.5, 1e7)), 1.0),
+             share=5e-324, cut=None)
     @settings(max_examples=300, deadline=None)
-    def test_tracking_is_the_shifted_capacity(self, trace, share):
-        # c(t - d) at the middle of every segment that the shift's rounding
-        # (an ulp or two at the scale of t) cannot visibly move; a delay
-        # much longer than the first breakpoints rounds close ones together
+    def test_tracking_is_the_shifted_capacity(self, trace, share, cut):
+        # c(t - d) at the middle of every segment, cut at the run's end
+        # h_run, that the shift's rounding (an ulp or two at the scale of t)
+        # cannot visibly move; a delay much longer than the first
+        # breakpoints rounds close ones together.  Every run's end is
+        # drawn: before, on and inside shifted segments, so the sender's
+        # trace must end on a hold for each without a repair
         h = trace.horizon
         delay = share * h
-        shifted = sender_rate_trace(SimConfig(trace, OracleTracking(delay)))
+        h_run = h if cut is None or cut * h == 0.0 else cut * h
+        shifted = sender_rate_trace(SimConfig(trace, OracleTracking(delay), horizon=h_run))
+        assert shifted.horizon == h_run
         top = max(bp.rate for bp in trace.breakpoints)
         ends = (*trace.times[1:], h)
         for a, b in zip(trace.times, ends):
+            b = min(b, h_run - delay)
             mid = 0.5 * (a + b)
-            if b - a >= 1e-8 * (h + delay) and mid + delay < h:
+            if b - a >= 1e-8 * (h + delay) and mid + delay < h_run:
                 assert shifted.capacity_at(mid + delay) == pytest.approx(
                     trace.capacity_at(mid), rel=0.0, abs=1e-6 * top
                 )
@@ -297,6 +318,13 @@ class TestConservationAndShape:
         for k in range(501):
             assert result.backlog_at(k * 0.01) >= 0.0
 
+    @pytest.mark.parametrize("t", [-0.5, math.nextafter(5.0, 6.0)])
+    def test_backlog_outside_the_window_rejected(self, t):
+        result = simulate_fluid(SimConfig(make_step_trace(1e8, 1e7, 1.0, 5.0), OracleFinal(0.017)))
+        with pytest.raises(ValueError) as info:
+            result.backlog_at(t)
+        assert str(info.value) == f"t={t!r} outside [0, 5.0]"
+
     def test_segments_tile_the_window(self):
         trace = make_step_trace(1e8, 1e7, 1.0, 5.0)
         result = simulate_fluid(SimConfig(trace, OracleFinal(0.017)))
@@ -443,6 +471,13 @@ class TestRecoveryAndMultiEvent:
         trace = make_step_trace(1e8, 1e7, 1.0, 5.0)
         with pytest.raises(ModelViolationError, match="horizon"):
             SimConfig(trace, OracleFinal(0.017), horizon=6.0)
+
+    def test_zero_horizon_rejected(self):
+        trace = make_step_trace(1e8, 1e7, 1.0, 5.0)
+        with pytest.raises(ValueError) as info:
+            SimConfig(trace, OracleFinal(0.017), horizon=0.0)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "horizon must be > 0, got 0.0"
 
 
 class TestFifoDelay:
@@ -849,6 +884,145 @@ class TestSegmentDifferential:
         assert [tuple(map(float.hex, s)) for s in samples] == [
             tuple(map(float.hex, r)) for r in reference
         ]
+
+
+class PiecewiseRate:
+    """A rate on [0, horizon] given as (start, rate, slope) pieces in
+    ascending start order, each running until the next one starts (a later
+    piece wins a tie), with its cumulative bits and their inverse.  Written
+    here from the pieces alone: no trace query is used."""
+
+    def __init__(self, pieces, horizon):
+        self.starts = [s for s, _, _ in pieces]
+        self.pieces = pieces
+        self.ends = [*self.starts[1:], horizon]
+        self.cum = [0.0]
+        for (s, r, k), e in zip(pieces, self.ends):
+            self.cum.append(self.cum[-1] + (e - s) * (r + 0.5 * k * (e - s)))
+
+    def total(self, t):
+        """Bits from 0 to ``t``."""
+        i = bisect_right(self.starts, t) - 1
+        s, r, k = self.pieces[i]
+        return self.cum[i] + (t - s) * (r + 0.5 * k * (t - s))
+
+    def reach(self, bits):
+        """The first instant at which ``total`` reaches ``bits``, or None
+        when it does not by the horizon."""
+        if bits > self.cum[-1]:
+            return None
+        i = max(bisect_left(self.cum, bits) - 1, 0)
+        s, r, k = self.pieces[i]
+        rest = bits - self.cum[i]
+        x = 2.0 * rest / (r + math.sqrt(max(0.0, r * r + 2.0 * k * rest)))
+        return min(s + x, self.ends[i])
+
+
+def capacity_pieces(trace):
+    bps = trace.breakpoints
+    pieces = [
+        (a.time, a.rate, (b.rate - a.rate) / (b.time - a.time) if a.mode is SegmentMode.LINEAR else 0.0)
+        for a, b in zip(bps, bps[1:])
+    ]
+    return [*pieces, (bps[-1].time, bps[-1].rate, 0.0)]
+
+
+def sender_pieces(trace, controller, horizon):
+    """The sender's rate as pieces, read off the controller's definition."""
+    first = trace.breakpoints[0].rate
+    if isinstance(controller, FixedRate):
+        return [(0.0, controller.rate, 0.0)]
+    d = controller.signal_delay
+    if isinstance(controller, OracleFinal):
+        shifted = [(ev.onset + d, ev.post_rate, 0.0) for ev in detect_events(trace)]
+    else:  # OracleTracking: the capacity d seconds ago, its first rate before d
+        shifted = [(s + d, r, k) for s, r, k in capacity_pieces(trace)]
+    return [(0.0, first, 0.0), *(p for p in shifted if p[0] < horizon)]
+
+
+def packet_reference(config, packet_bits):
+    """Peak backlog and bits out by the horizon of the run's packet limit.
+
+    Packet j (from 0) arrives when the sender's output reaches (j + 1) *
+    ``packet_bits``.  A Lindley FIFO serves it from s_j = max(a_j, f_{j-1})
+    to the f_j at which the capacity integral from s_j covers the packet.
+    The backlog in bits, with the part of the packet in service already
+    sent taken off, peaks right after an arrival.
+    """
+    h = config.horizon
+    cap = PiecewiseRate(capacity_pieces(config.trace), h)
+    sender = PiecewiseRate(sender_pieces(config.trace, config.controller, h), h)
+    served_at_start = []  # C(s_j)
+    finishes = []  # f_j, inf past the horizon
+    finish = 0.0
+    first = 0  # the first packet not finished by the latest arrival
+    peak = 0.0
+    while (arrival := sender.reach((len(finishes) + 1) * packet_bits)) is not None:
+        start = max(arrival, finish)
+        c_start = cap.total(start) if start <= h else math.inf
+        end = cap.reach(c_start + packet_bits)
+        finish = math.inf if end is None else end
+        served_at_start.append(c_start)
+        finishes.append(finish)
+        while first < len(finishes) - 1 and finishes[first] <= arrival:
+            first += 1
+        queued = (len(finishes) - first) * packet_bits
+        peak = max(peak, queued - (cap.total(arrival) - served_at_start[first]))
+    done = bisect_right(finishes, h)
+    bits_out = done * packet_bits
+    if done < len(finishes):
+        bits_out += cap.total(h) - served_at_start[done]
+    return peak, bits_out
+
+PACKETS = 4000  # packets per run of the packet-limit reference
+
+
+class TestPacketLimitReference:
+    """The solver's ``peak_backlog`` and ``bits_out`` against the packet
+    limit of the same run (ROADMAP item 6), computed by
+    :func:`packet_reference` from the trace's breakpoints and the
+    controller's definition alone.
+
+    Tolerance.  Let A and C be the cumulative sender output and capacity.
+    The fluid queue starts empty and serves at full rate while busy, so its
+    output is D(t) = min over s <= t of A(s) + C(t) - C(s), and its backlog
+    Q = A - D.  The packet limit feeds the same server the packetized
+    arrivals A_p = p * floor(A / p), and serving each packet by the exact
+    capacity integral keeps it serving at full rate while any bit waits, so
+    its output in bits is D_p(t) = min over s <= t of A_p(s) + C(t) - C(s),
+    by the same formula.  As A - p < A_p <= A:
+      * D - p < D_p <= D, so bits out by the horizon agree within one
+        packet, the packet limit never ahead; and
+      * A_p(t) - A_p(s) lies within p of A(t) - A(s), so Q_p = A_p - D_p
+        lies within p of Q at every instant, and so do the peaks
+    (the packetizer bound, Le Boudec & Thiran, Network Calculus, ch. 1).
+    The rounding term adds 1e-9 of the bits sent and served, far above the
+    solver's 1e-12 rate-noise floor and the binary64 error of summing a few
+    thousand terms, plus four ulp of the horizon at the top rate: each
+    instant is one binary64 number, and on a horizon of a few subnormals a
+    packet lasts less than one ulp.
+    """
+
+    @pytest.mark.parametrize("kind", [FixedRate, OracleTracking, OracleFinal])
+    @given(trace=st.one_of(close_traces(), late_traces()), knob=st.floats(0.0, 1.0))
+    # a queue that peaks far above one packet: 9e6 bits under OracleFinal(0.1)
+    @example(trace=make_step_trace(1e8, 1e7, 1.0, 2.0), knob=0.05)
+    @settings(max_examples=30, deadline=None)
+    def test_backlog_and_bits_out_match_the_packet_limit(self, kind, trace, knob):
+        top = max(bp.rate for bp in trace.breakpoints)
+        controller = FixedRate((0.2 + 1.8 * knob) * top) if kind is FixedRate else kind(2.0 * knob)
+        try:
+            config = SimConfig(trace, controller)
+        except ModelViolationError:  # overlapping OracleFinal signal windows
+            assume(False)
+        result = simulate_fluid(config)
+        h = result.horizon
+        packet_bits = result.bits_in / PACKETS
+        peak, bits_out = packet_reference(config, packet_bits)
+        top = max(top, getattr(controller, "rate", 0.0))
+        rounding = 1e-9 * (result.bits_in + trace.integrate(0.0, h)) + 4.0 * top * math.ulp(h)
+        assert abs(result.peak_backlog - peak) <= packet_bits + rounding
+        assert -rounding <= result.bits_out - bits_out <= packet_bits + rounding
 
 
 class TestSerialization:

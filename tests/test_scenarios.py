@@ -76,6 +76,21 @@ class TestScenarioRegistry:
         with pytest.raises(ValueError, match="parameters"):
             scenario_trace("wifi-step", nonsense=1.0)
 
+    @pytest.mark.parametrize(
+        "name, params, message",
+        [
+            ("wifi-mcs-walk", {"rates": (1e8,)}, "wifi-mcs-walk needs at least two rate levels"),
+            ("wifi-mcs-walk", {"dwell": 0.0}, "dwell must be > 0 seconds, got 0.0"),
+            # the check is all that keeps pre_rate / 0 from raising ZeroDivisionError
+            ("ramp-contention", {"c_factor": 0.0}, "c_factor must be > 1 for a contention ramp, got 0.0"),
+        ],
+    )
+    def test_out_of_range_parameter_rejected(self, name, params, message):
+        with pytest.raises(ValueError) as info:
+            scenario_trace(name, **params)
+        assert type(info.value) is ValueError
+        assert str(info.value) == message
+
     def test_wifi_step_defaults(self):
         trace = scenario_trace("wifi-step")
         events = detect_events(trace)

@@ -309,6 +309,10 @@ REJECTED = {
                             "post_rate must be finite and > 0 bit/s, got 0.0"),
     "ev_ramp_before_reduction": (CapacityEvent, (1, 1e7, 2e7, "inf"), ValueError,
                                  "ramp_duration must be finite and >= 0 seconds, got inf"),
+    "trace_without_breakpoints": (CapacityTrace, ((), 1.0), ValueError,
+                                  "a trace needs at least one breakpoint"),
+    "trace_starting_late": (CapacityTrace, ((Breakpoint(1.0, 1e8),), 2.0), ValueError,
+                            "first breakpoint must be at time 0, got 1.0"),
 }
 
 
