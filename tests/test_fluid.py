@@ -919,6 +919,7 @@ class PiecewiseRate:
 
 
 def capacity_pieces(trace):
+    """The capacity as pieces, read off the trace's breakpoints."""
     bps = trace.breakpoints
     pieces = [
         (a.time, a.rate, (b.rate - a.rate) / (b.time - a.time) if a.mode is SegmentMode.LINEAR else 0.0)
