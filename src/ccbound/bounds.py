@@ -122,7 +122,8 @@ def sweep(
 
     Pass ``d_values`` for a step sweep, or ``d_ramp_values`` together with
     the fixed ``signal_delay`` for a ramp sweep; exactly one time axis is
-    allowed and both axes must be non-empty.
+    allowed and both axes must be non-empty.  A step sweep takes no
+    ``signal_delay``: its delays are ``d_values``.
     """
     cs = tuple(check_c_factor(c) for c in c_values)
     if not cs:
@@ -130,6 +131,11 @@ def sweep(
     if (d_values is None) == (d_ramp_values is None):
         raise ValueError("pass exactly one of d_values / d_ramp_values")
     if d_values is not None:
+        if signal_delay is not None:
+            raise ValueError(
+                "a step sweep takes no signal_delay (its delays are d_values), "
+                f"got {signal_delay!r}"
+            )
         kind, name, values, check, d = "step", "d_values", d_values, "signal_delay", None
         q = peak_delay_step
     else:

@@ -304,14 +304,19 @@ def _scenario_params(pairs: list[str]) -> dict:
         key = key.strip()
         if not sep or not key:
             raise ValueError(f"scenario parameter must look like key=value, got {pair!r}")
-        if key == "rates_mbps":
-            params["rates"] = tuple(float(x) * MBPS for x in val.split(":") if x.strip())
-            continue
-        if key not in _SCENARIO_KEY_MAP:
+        if key != "rates_mbps" and key not in _SCENARIO_KEY_MAP:
             known = ", ".join(sorted(_SCENARIO_KEY_MAP) + ["rates_mbps"])
             raise ValueError(f"unknown scenario parameter {key!r}; known: {known}")
-        dest, scale = _SCENARIO_KEY_MAP[key]
-        params[dest] = float(val) * scale
+        try:
+            if key == "rates_mbps":
+                params["rates"] = tuple(float(x) * MBPS for x in val.split(":") if x.strip())
+            else:
+                dest, scale = _SCENARIO_KEY_MAP[key]
+                params[dest] = float(val) * scale
+        except ValueError:
+            raise ValueError(
+                f"--scenario-param {key} contains a malformed number: {val!r}"
+            ) from None
     return params
 
 

@@ -170,6 +170,8 @@ class CapacityTrace:
             i = bisect_right(self._times, t) - 1  # type: ignore[attr-defined]
             if self._times[i] == t:  # type: ignore[attr-defined]
                 return self._rows[i - 1][4]  # type: ignore[attr-defined]
+            # off a breakpoint, the value capacity_at would find in row i
+            return _rate_in(self._rows[i], t)  # type: ignore[attr-defined]
         return self.capacity_at(t)
 
     def integrate(self, t0: float, t1: float) -> float:

@@ -193,6 +193,13 @@ class TestSweep:
             sweep([2.0], d_ramp_values=[], signal_delay=0.01)
         assert str(info.value) == "d_ramp_values must be non-empty"
 
+    @pytest.mark.parametrize("signal_delay", [math.nan, -5.0, 0.01])
+    def test_step_sweep_rejects_a_signal_delay(self, signal_delay):
+        # a step sweep's delays are its d_values; a signal delay beside them
+        # is refused, whatever its value, and not dropped
+        with pytest.raises(ValueError, match="a step sweep takes no signal_delay"):
+            sweep([2.0], d_values=[0.01], signal_delay=signal_delay)
+
     def test_csv_long_form(self, capsys):
         assert main(["sweep", "--c-list", "2", "--delay-list-ms", "10,20"]) == 0
         lines = capsys.readouterr().out.splitlines()

@@ -753,6 +753,14 @@ USAGE_ERRORS = {
         "error: unknown scenario parameter 'speed'; known: c_factor, dwell_ms, horizon_ms, "
         "onset_ms, post_mbps, pre_mbps, ramp_ms, rates_mbps\n",
     ),
+    "scenario_param_not_a_number": (
+        ["scenario", "--emit", "wifi-step", "--scenario-param", "pre_mbps=abc"],
+        "error: --scenario-param pre_mbps contains a malformed number: 'abc'\n",
+    ),
+    "scenario_rate_not_a_number": (
+        ["scenario", "--emit", "wifi-step", "--scenario-param", "rates_mbps=100:x"],
+        "error: --scenario-param rates_mbps contains a malformed number: '100:x'\n",
+    ),
     "one_mcs_walk_rate": (
         ["scenario", "--emit", "wifi-mcs-walk", "--scenario-param", "rates_mbps=100"],
         "error: wifi-mcs-walk needs at least two rate levels\n",

@@ -435,8 +435,8 @@ class TestQueueBitsReplay:
 class TestQueryCount:
     def test_one_capacity_query_per_service_start(self, monkeypatch):
         # deterministic cost check: the initial pacing makes the one checked
-        # query, and each service start reads one rate off the row cursor,
-        # so no per-packet bisection creeps in
+        # query, and a service start reads at most one rate off the row
+        # cursor, so no per-packet bisection creeps in
         config = saturated_step_config(12e6, 5.0, 0.02, seed=3)
         capacity_at, rate_in = CapacityTrace.capacity_at, packetsim._rate_in
         queries = reads = 0
@@ -457,6 +457,50 @@ class TestQueryCount:
         assert result.packets_delivered > 0
         assert queries == 1
         assert reads <= result.packets_delivered + 1, (reads, result.packets_delivered)
+
+    @staticmethod
+    def recorded_reads(monkeypatch) -> list[float]:
+        """The instant of every ``_rate_in`` call the packet loop makes."""
+        rate_in, instants = packetsim._rate_in, []
+
+        def recorded(row, t):
+            instants.append(t)
+            return rate_in(row, t)
+
+        monkeypatch.setattr(packetsim, "_rate_in", recorded)
+        return instants
+
+    def test_held_rows_read_no_rate(self, monkeypatch):
+        # a hold row and a linear row between equal rates each price their
+        # service time once, on entry, so no service start reads a rate
+        config = saturated_step_config(12e6, 5.0, 0.02, seed=3)
+        step = config.trace.breakpoints
+        flat = CapacityTrace(
+            (Breakpoint(0.0, 12e6, "linear"), Breakpoint(0.4, 12e6), *step[1:]),
+            config.trace.horizon,
+        )
+        instants = self.recorded_reads(monkeypatch)
+        for trace in (config.trace, flat):
+            result = simulate_packets(dataclasses.replace(config, trace=trace))
+            assert result.packets_delivered > 0
+        assert instants == []
+
+    def test_a_ramp_row_reads_one_rate_per_service_start(self, monkeypatch):
+        # the service starts follow from the log by Lindley's recursion: a
+        # packet starts at its arrival or at its predecessor's departure,
+        # whichever is later; the ramp row reads the rate at each start
+        # inside it, in order, and no other row reads one
+        config = saturated_step_config(12e6, 5.0, 0.02, seed=3)
+        trace = make_ramp_trace(12e6, 12e6 / 5.0, 0.8, 0.1, config.trace.horizon)
+        instants = self.recorded_reads(monkeypatch)
+        result = simulate_packets(dataclasses.replace(config, trace=trace))
+        arrivals = [e.t for e in result.log if e.event == "enqueue"]
+        departures = list(result._dequeue_times)
+        starts = [max(a, d) for a, d in zip(arrivals, [0.0, *departures])]
+        ramp_start, ramp_end = trace.times[1], trace.times[2]
+        in_ramp = [t for t in starts if ramp_start <= t < ramp_end]
+        assert len(in_ramp) > 50
+        assert instants == in_ramp
 
     def test_a_saturated_run_makes_no_heap_operations(self, monkeypatch):
         # the one pending departure sits in a slot, and the ACKs and both
@@ -547,6 +591,33 @@ class TestBoundComparison:
         assert not cmp.violation
         pressed = dataclasses.replace(result, congestion_reached=True)
         assert compare_to_bound(pressed, event, 0.017).violation
+
+    @pytest.mark.parametrize("pre", [50e6, 200e6])
+    def test_steep_ramps_near_the_floor_hold(self, pre):
+        # packet-aimd's settings at both ends of its pre-drop rates, on ramps
+        # of d/8, d/4 and d/2: the slack does not cover the lead that held-
+        # rate service on a ramp can give packets (see compare_to_bound), yet
+        # every verdict holds, the smallest margin being 12.67 ms (50 Mb/s,
+        # c = 2, d = 5 ms, ramp d/4)
+        fwd, pkt, onset = 0.002, 12000.0, 0.8
+        margins = []
+        for c, d, ramp_over_d in itertools.product(
+                (2.0, 5.0, 10.0, 20.0), (0.005, 0.02, 0.05), (0.125, 0.25, 0.5)):
+            rtt, ramp = fwd + d, ramp_over_d * d
+            horizon = onset + ramp + d + max((c - 1.0) * d, 2.5 * c * rtt) + 0.25
+            trace = make_ramp_trace(pre, pre / c, onset, ramp, horizon)
+            config = PacketSimConfig(
+                trace, packet_size=pkt, forward_delay=fwd,
+                x_to_b_delay=d / 2.0, reverse_delay=d / 2.0,
+                aimd=AimdParams(2.0, 0.5), mark_threshold=1.5 * rtt,
+                initial_window=math.ceil(1.25 * pre * rtt / pkt) + 2, seed=len(margins),
+            )
+            result = simulate_packets(config)
+            cmp = compare_to_bound(result, detect_events(trace)[0], d)
+            assert result.congestion_reached and not cmp.violation, (c, d, ramp, cmp)
+            margins.append(cmp.measured_peak - (cmp.bound - cmp.slack))
+        # no margin lies within the 1.378 ms lead a ramp can build up
+        assert min(margins) > 0.002, min(margins)
 
     def test_zero_bound_never_violates(self):
         config = saturated_step_config(12e6, 10.0, 0.02, seed=9)

@@ -422,6 +422,19 @@ class TestCapacityAt:
             assert trace.capacity_at(t).hex() == value.hex(), t
             assert trace.left_limit_at(t).hex() == left.hex(), t
 
+    @given(traces(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_left_limit_off_the_breakpoints_is_the_value(self, trace, data):
+        # the two sides differ only at a breakpoint; elsewhere left_limit_at
+        # answers from its own bisection, bit for bit as capacity_at does
+        h = trace.horizon
+        instants = data.draw(st.lists(st.floats(0.0, h), max_size=20))
+        for a, b in zip(trace.times, (*trace.times[1:], h)):
+            instants += [math.nextafter(a, math.inf), 0.5 * (a + b), math.nextafter(b, 0.0)]
+        for t in instants:
+            if 0.0 < t <= h and t not in trace.times:
+                assert trace.left_limit_at(t).hex() == trace.capacity_at(t).hex(), t
+
     @given(traces())
     @settings(max_examples=50, deadline=None)
     def test_breakpoint_rates_reproduced(self, trace):
