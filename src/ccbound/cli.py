@@ -462,9 +462,16 @@ def _self_test_grid(grid) -> None:
             )
 
 
+def _unused_delay(sweep: str) -> ValueError:
+    """The error for ``--delay-ms`` on a sweep that does not read it."""
+    return ValueError(f"--delay-ms is the fixed delay of a --ramp-list-ms sweep; {sweep} takes none")
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.fig5 and args.fig7:
         raise ValueError("pick at most one preset (--fig5 or --fig7)")
+    if args.delay_ms is not None and (args.fig5 or args.fig7):
+        raise _unused_delay("--fig5" if args.fig5 else "--fig7")
     if args.fig5:
         grid = sweep([1.0 + i / 2.0 for i in range(19)], d_values=[j / 200.0 for j in range(21)])
     elif args.fig7:
@@ -478,6 +485,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if (args.delay_list_ms is None) == (args.ramp_list_ms is None):
             raise ValueError("pass exactly one of --delay-list-ms / --ramp-list-ms")
         if args.delay_list_ms is not None:
+            if args.delay_ms is not None:
+                raise _unused_delay("--delay-list-ms")
             ds = [x * MS for x in _parse_float_list(args.delay_list_ms, "--delay-list-ms")]
             grid = sweep(cs, d_values=ds)
         else:

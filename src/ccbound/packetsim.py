@@ -4,25 +4,30 @@ A single flow crosses one FIFO bottleneck with an infinite buffer, so
 nothing is ever dropped; congestion is signaled purely by marking packets
 whose queue sojourn exceeds a threshold and echoing the mark on the ACK.
 On a marked ACK the sender multiplies its window once per round trip;
-otherwise it grows by ``additive_increase`` packets per round trip.  Every
-event is keyed by (time, sequence) and runs in key order, so events at
-equal times run in the order they were scheduled, and equal configs and
-seeds produce bit-identical event logs.  Every event source schedules in
-key order, so none needs a heap: a slot holds the one departure in
-service, and FIFOs hold the ACKs, the paced initial burst and the
-ACK-clocked sends.  Service starts never go back in time, so a cursor that
-only moves forward finds the trace row that sets each packet's rate.  A
-row whose rate holds prices its packet service time once, when the cursor
-enters it; only a row whose rate changes reads the rate at each service
-start.
+otherwise it grows by ``additive_increase`` packets per round trip.
 
-A run formats nothing while it runs.  It stores each logged event once,
-in typed columns: its time and a one-byte code, the packet id of each
-enqueue, the window after each ACK, and the dequeue time and sojourn of
-each delivered packet.  One reader walks those columns in event order and
-yields the log's records; ``PacketSimResult.log``, :func:`event_log_to_csv`
-and the CLI's ``--log-out``, which streams the CSV lines to its file, all
-read the log through it.
+The loop runs two kinds of event in time order: arrivals at the
+bottleneck and ACKs back at the sender.  A FIFO server's departures follow
+from its arrivals by Lindley's recursion (D. V. Lindley, "The theory of
+queues with a single server", Proc. Cambridge Phil. Soc. 48(2), 1952), so
+each arrival is served at once: its service starts at its arrival or at
+the previous departure, whichever is later, and its ACK is queued for one
+return trip after its departure.  Every event source is a FIFO already in
+time order, so none needs a heap: the ACKs, the paced initial burst and
+the ACK-clocked send bursts.  Equal configs and seeds give bit-identical
+runs.  Service starts never go back in time, so a cursor that only moves forward finds the trace row that sets
+each packet's rate.  A row whose rate holds prices its packet service time
+once, when the cursor enters it; only a row whose rate changes reads the
+rate at each service start.
+
+A run formats nothing while it runs.  It stores each fact once, in typed
+columns: the time and id of each arrival, the dequeue time and sojourn of
+each delivered packet, and the window, mark code and send count of each
+ACK.  One reader merges those columns into the log's records, in the order
+of a loop that also ran each departure as an event and ran events at
+equal times in the order they were scheduled; ``PacketSimResult.log``,
+:func:`event_log_to_csv` and the CLI's ``--log-out``, which streams the
+CSV lines to its file, all read the log through it.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from bisect import bisect_left
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import count
+from itertools import chain, repeat
 from typing import NamedTuple
 
 from .bounds import peak_delay_ramp
@@ -51,14 +56,16 @@ __all__ = [
     "event_log_to_csv",
 ]
 
-_ARRIVE, _DEPART, _ACK, _MARKED_ACK = 0, 1, 2, 3
-# The key of an empty event source: it sorts after every finite time
-_NO_EVENT = (math.inf, 0, _ARRIVE, 0)
-
-# One code per logged event.  A marked dequeue writes a dequeue and a mark
-# record; _DECREASED, a marked ACK that cut the window, writes a window and
-# an ack record; every other event writes one record.
-_ENQUEUED, _DEQUEUED, _DEQUEUED_MARKED, _ACKED, _ACKED_MARKED, _DECREASED = range(6)
+# One mark code per ACK: unmarked; marked, an echo of a mark already
+# reacted to; and marked, cutting the window, which writes a window record
+# before its ack record.
+_ACKED, _ACKED_MARKED, _DECREASED = range(3)
+# The log's three event streams
+_ENQ, _DEQ, _ACK = range(3)
+# Run positions of tied events the log's reader holds before it first drops
+# those no event still to come can need; after each drop it holds up to
+# twice what it kept
+_TIE_MEMORY = 64
 
 # Most packets one simulate_packets run may send; a send burst that would
 # pass it is refused before any of its packets is scheduled.
@@ -110,13 +117,15 @@ class PacketSimConfig:
         check_seconds(self.x_to_b_delay, "x_to_b_delay")
         check_seconds(self.reverse_delay, "reverse_delay")
         check_seconds(self.mark_threshold, "mark_threshold")
-        if not isinstance(self.initial_window, int) or self.initial_window < 0:
+        # a bool is an int to isinstance, but True packets is no window
+        if (not isinstance(self.initial_window, int) or isinstance(self.initial_window, bool)
+                or self.initial_window < 0):
             raise ValueError(
                 f"initial_window must be a whole number >= 0 packets, got {self.initial_window!r}"
             )
         # random.Random(None) seeds from OS entropy, which would break
         # byte-identical logs per config
-        if not isinstance(self.seed, int):
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise ValueError(f"seed must be a whole number, got {self.seed!r}")
 
 
@@ -131,16 +140,17 @@ class LogEntry(NamedTuple):
 @dataclass(frozen=True)
 class PacketSimResult:
     config: PacketSimConfig
-    # One time and one code per logged event, one packet id per enqueue and
-    # one window per ACK; one dequeue time and one sojourn per delivered
-    # packet.  Arrays are unhashable, so hash() skips them; it still agrees
-    # with ==, which compares them.
-    _times: array = field(repr=False, hash=False)
-    _codes: bytearray = field(repr=False, hash=False)
+    # One time and one packet id per arrival, in arrival order; one dequeue
+    # time and one sojourn per delivered packet; one window, one mark code
+    # and one count of the packets it sent per ACK.  Arrays are unhashable,
+    # so hash() skips them; it still agrees with ==, which compares them.
+    _arrival_times: array = field(repr=False, hash=False)
     _packet_ids: array = field(repr=False, hash=False)
-    _windows: array = field(repr=False, hash=False)
     _dequeue_times: array = field(repr=False, hash=False)
     _sojourns: array = field(repr=False, hash=False)
+    _windows: array = field(repr=False, hash=False)
+    _codes: bytearray = field(repr=False, hash=False)
+    _sends: array = field(repr=False, hash=False)
     peak_queue_delay: float
     congestion_reached: bool
     packets_sent: int
@@ -148,7 +158,7 @@ class PacketSimResult:
 
     @property
     def log(self) -> tuple[LogEntry, ...]:
-        """The event log, built from the event columns on each read."""
+        """The event log, built from the run's columns on each read."""
         return tuple(map(LogEntry._make, _records(self)))
 
     @property
@@ -166,18 +176,24 @@ def _over_packet_cap(count: int) -> ValueError:
 
 
 def simulate_packets(config: PacketSimConfig) -> PacketSimResult:
-    """Run the discrete-event loop up to the trace horizon.
+    """Run the event loop up to the trace horizon.
 
     A packet's service time is packet_size / capacity at its service start,
-    held for the whole packet.  The queue is FIFO, and service starts in one
-    place: whenever the server is idle and the queue is not empty.  Each
-    step runs the earliest of four pending events: the departure in service,
-    the oldest ACK in flight, and the oldest arrival of the initial burst and
-    of the ACK-clocked sends; ties run in the order they were scheduled.  A
-    run whose queue never holds a waiting packet before the first capacity
-    reduction is flagged ``congestion_reached=False``: the sender never
-    actually pressed against the link, so bound comparisons are vacuous and
-    :func:`compare_to_bound` reports no violation for the run.
+    held for the whole packet.  The queue is FIFO, so each arrival is served
+    as it comes, by Lindley's recursion: its service starts at the later of
+    its arrival and the previous departure.  A packet that departs after the
+    horizon is not delivered, and no later packet is served.  Each step runs
+    the earlier of the oldest pending arrival and the oldest ACK in flight,
+    the arrival on a tie; of two arrivals at one instant, the paced initial
+    burst's comes first.  Only the order within each kind matters: the
+    server's state depends on the order of the arrivals alone, and the
+    sender's on the order of the ACKs.  :func:`event_log_to_csv` and
+    ``log`` order the events of different kinds at one instant as they are
+    read.
+    A run whose queue never holds a waiting packet before the first
+    capacity reduction is flagged ``congestion_reached=False``: the sender
+    never actually pressed against the link, so bound comparisons are
+    vacuous and :func:`compare_to_bound` reports no violation for the run.
     A run that would send more than :data:`MAX_PACKETS` packets raises
     ValueError.
     """
@@ -186,6 +202,7 @@ def simulate_packets(config: PacketSimConfig) -> PacketSimResult:
     pkt = config.packet_size
     fwd = config.forward_delay
     xb, rev = config.x_to_b_delay, config.reverse_delay
+    threshold = config.mark_threshold
     ai = config.aimd.additive_increase
     md = config.aimd.multiplicative_decrease
     rng = random.Random(config.seed)
@@ -193,18 +210,17 @@ def simulate_packets(config: PacketSimConfig) -> PacketSimResult:
     events = detect_events(trace)
     warm_end = events[0].onset if events else horizon
 
-    # The event sources, keyed (t, seq, kind, packet id); seq is unique, so
-    # ties never compare the kind.  The server holds one packet, so one
-    # departure at most is pending; ACKs come back in the order they left;
-    # the paced burst's times increase, and the sends are made at ACK times,
-    # which never decrease, and arrive one forward delay later.
-    departure = _NO_EVENT
-    acks: deque[tuple[float, int, int, int]] = deque()
-    paced: deque[tuple[float, int, int, int]] = deque()
-    sent: deque[tuple[float, int, int, int]] = deque()
-    seq = count()
-    # (packet id, arrival time); the head is in service while it is there
-    queue: deque[tuple[int, float]] = deque()
+    # The event sources, each in time order.  The paced burst's times
+    # increase; the sends are made at ACK times, which never decrease, and
+    # each send burst arrives whole one forward delay later, as (arrival
+    # time, first packet id, last id + 1).  The ACKs, (time, marked, packet
+    # id), return in departure order, and departures never go back in time.
+    paced: deque[tuple[float, int, int]] = deque()
+    sent: deque[tuple[float, int, int]] = deque()
+    acks: deque[tuple[float, bool, int]] = deque()
+    # the departure of the last packet served; once it passes the horizon,
+    # nothing more is served
+    free = -math.inf
     cwnd = float(config.initial_window)
     in_flight = 0
     next_pid = 0
@@ -213,19 +229,20 @@ def simulate_packets(config: PacketSimConfig) -> PacketSimResult:
     recovery_end_pid = 0
     congestion_seen = False
     # Row r of the trace is the last to start at or before the latest
-    # service start t, where bisect_right(times, t) - 1 lands; service
-    # starts never go back in time, so r only steps past next_starts[r] <= t.
-    # On a row whose two rates are equal _rate_in returns the start rate, so
-    # held = pkt / rate is priced once on entering the row; held is None on
-    # a row whose rate changes, which is read at each service start.
+    # service start, where bisect_right(times, start) - 1 lands; service
+    # starts never go back in time, so r only steps past next_starts[r] <=
+    # start.  On a row whose two rates are equal _rate_in returns the start
+    # rate, so held = pkt / rate is priced once on entering the row; held is
+    # None on a row whose rate changes, which is read at each service start.
     rows = trace._rows  # type: ignore[attr-defined]
     next_starts = (*trace.times[1:], math.inf)
     r = 0
     row = rows[0]
     held = pkt / row[2] if row[4] == row[2] else None
 
-    times, codes, packet_ids, windows = array("d"), bytearray(), array("q"), array("d")
+    arrival_times, packet_ids = array("d"), array("q")
     dequeue_times, sojourns = array("d"), array("d")
+    windows, codes, sends = array("d"), bytearray(), array("q")
 
     # Initial burst, paced at the initial link rate with seeded phase jitter
     # to break synchronization artifacts while staying deterministic.
@@ -236,87 +253,78 @@ def simulate_packets(config: PacketSimConfig) -> PacketSimResult:
         t0 = k * spacing + rng.random() * spacing * 0.5
         if t0 >= horizon:
             break
-        paced.append((t0 + fwd, next(seq), _ARRIVE, k))
+        paced.append((t0 + fwd, k, k + 1))
         next_pid = in_flight = k + 1
 
     while True:
-        event = departure
-        if acks and acks[0] < event:
-            event = acks[0]
-        if paced and paced[0] < event:
-            event = paced[0]
-        if sent and sent[0] < event:
-            event = sent[0]
-        t, _, kind, pid = event
-        # not "t > horizon": a NaN time ends the run as well
+        arrivals = paced if paced and not (sent and sent[0][0] < paced[0][0]) else sent
+        t = arrivals[0][0] if arrivals else math.inf
+        if not (acks and acks[0][0] < t):
+            # not "t > horizon": a NaN time ends the run as well
+            if not t <= horizon:
+                break
+            _, first, end = arrivals.popleft()
+            for pid in range(first, end):
+                arrival_times.append(t)
+                packet_ids.append(pid)
+                if not free <= horizon:
+                    continue
+                start = free if free > t else t
+                if next_starts[r] <= start:
+                    while next_starts[r] <= start:
+                        r += 1
+                    row = rows[r]
+                    held = pkt / row[2] if row[4] == row[2] else None
+                service = pkt / _rate_in(row, start) if held is None else held
+                # saturated means a packet waited at least one full packet
+                # behind others, not just the phase overlap of the initial burst
+                if start <= warm_end and start - t > service:
+                    congestion_seen = True
+                free = start + service
+                if free <= horizon:
+                    sojourn = free - t
+                    dequeue_times.append(free)
+                    sojourns.append(sojourn)
+                    acks.append((free + xb + rev, sojourn > threshold, pid))
+            continue
+        t, marked, pid = acks.popleft()
         if not t <= horizon:
             break
-        times.append(t)
-        if kind == _ARRIVE:
-            (paced if paced and paced[0] is event else sent).popleft()
-            queue.append((pid, t))
-            codes.append(_ENQUEUED)
-            packet_ids.append(pid)
-        elif kind == _DEPART:
-            head, arrived = queue.popleft()
-            assert head == pid  # FIFO service order
-            sojourn = t - arrived
-            dequeue_times.append(t)
-            sojourns.append(sojourn)
-            mark = sojourn > config.mark_threshold
-            codes.append(_DEQUEUED_MARKED if mark else _DEQUEUED)
-            # departures never go back in time, so neither do the ACKs
-            acks.append((t + xb + rev, next(seq), _MARKED_ACK if mark else _ACK, pid))
-            departure = _NO_EVENT
-        else:  # ACK back at the sender
-            acks.popleft()
-            in_flight -= 1
-            if kind == _MARKED_ACK:
-                if pid >= recovery_end_pid:
-                    cwnd = max(1.0, cwnd * md)
-                    recovery_end_pid = next_pid
-                    codes.append(_DECREASED)
-                else:
-                    codes.append(_ACKED_MARKED)
+        in_flight -= 1
+        if marked:
+            if pid >= recovery_end_pid:
+                cwnd = max(1.0, cwnd * md)
+                recovery_end_pid = next_pid
+                codes.append(_DECREASED)
             else:
-                # cwnd >= 1 here: an ACK needs initial_window >= 1, and every
-                # decrease stops at 1
-                cwnd += ai / cwnd
-                codes.append(_ACKED)
-            windows.append(cwnd)
-            burst = int(cwnd + 1e-9) - in_flight
-            if burst > 0 and t < horizon:
-                total = next_pid + burst
-                if total > MAX_PACKETS:
-                    raise _over_packet_cap(total)
-                arrival = t + fwd
-                for new_pid in range(next_pid, total):
-                    sent.append((arrival, next(seq), _ARRIVE, new_pid))
-                next_pid = total
-                in_flight += burst
-            continue
-        if queue and departure is _NO_EVENT:
-            head, arrived = queue[0]
-            if next_starts[r] <= t:
-                while next_starts[r] <= t:
-                    r += 1
-                row = rows[r]
-                held = pkt / row[2] if row[4] == row[2] else None
-            service = pkt / _rate_in(row, t) if held is None else held
-            # saturated means a packet waited at least one full packet
-            # behind others, not just the phase overlap of the initial burst
-            if t <= warm_end and t - arrived > service:
-                congestion_seen = True
-            departure = (t + service, next(seq), _DEPART, head)
+                codes.append(_ACKED_MARKED)
+        else:
+            # cwnd >= 1 here: an ACK needs initial_window >= 1, and every
+            # decrease stops at 1
+            cwnd += ai / cwnd
+            codes.append(_ACKED)
+        windows.append(cwnd)
+        burst = int(cwnd + 1e-9) - in_flight
+        if burst > 0 and t < horizon:
+            total = next_pid + burst
+            if total > MAX_PACKETS:
+                raise _over_packet_cap(total)
+            sent.append((t + fwd, next_pid, total))
+            sends.append(burst)
+            next_pid = total
+            in_flight += burst
+        else:
+            sends.append(0)
 
     return PacketSimResult(
         config=config,
-        _times=times,
-        _codes=codes,
+        _arrival_times=arrival_times,
         _packet_ids=packet_ids,
-        _windows=windows,
         _dequeue_times=dequeue_times,
         _sojourns=sojourns,
+        _windows=windows,
+        _codes=codes,
+        _sends=sends,
         peak_queue_delay=max(sojourns, default=0.0),
         congestion_reached=congestion_seen,
         packets_sent=next_pid,
@@ -384,39 +392,177 @@ def compare_to_bound(
 
 def _records(result: PacketSimResult) -> Iterator[tuple[float, str, int, float, str]]:
     """The log's records in order, each ``(t, event, packet id, queue bits,
-    detail)``, read from the event columns.
+    detail)``, read from the run's columns.
+
+    The log is the one a loop that also ran each departure as an event, and
+    ran events at equal times in the order they were scheduled, would write.
+    It merges three streams, each already in time order: the enqueues (the
+    arrival columns), the dequeues (the dequeue columns) and the ACKs, one
+    return trip after each dequeue.  The k-th dequeue and the k-th ACK carry
+    the k-th arrival's packet id, since the queue and the ACKs are FIFOs.
+    The merge is time first.  Only when two streams' next events fall on one
+    instant does it compare their keys from :func:`_scheduler_key`: the
+    time of the event's scheduler, then the scheduler's run position, then
+    the order within the scheduling step.  So it keeps the run position of
+    each event run at an instant two streams share, for as long as a later
+    tie may need it; no other event's position is kept.
 
     The queue bits replay the loop's running count, ``+= packet_size`` at an
     enqueue and ``-= packet_size`` at a dequeue, so they come out bit for
-    bit.  The queue and the ACKs are FIFOs, so the k-th dequeue and the k-th
-    ACK carry the k-th enqueued id: each of the three reads the ids with
-    its own iterator.  Each dequeue takes the next sojourn and each ACK the
-    next window.
+    bit.
     """
-    pkt = result.config.packet_size
-    queued, served, acked = (iter(result._packet_ids) for _ in range(3))
-    sojourns, windows = iter(result._sojourns), iter(result._windows)
+    config = result.config
+    pkt, threshold = config.packet_size, config.mark_threshold
+    xb, rev = config.x_to_b_delay, config.reverse_delay
+    ids, sends = result._packet_ids, result._sends
+    paced = result.packets_sent - sum(sends)  # ids below it are the paced burst's
+    inf = math.inf
+    # each stream's next event; past its end, one at an infinite time
+    next_enqueue = chain(zip(result._arrival_times, ids), repeat((inf, 0))).__next__
+    next_dequeue = chain(zip(result._dequeue_times, result._sojourns, ids),
+                         repeat((inf, 0.0, 0))).__next__
+    next_ack = chain(zip(result._dequeue_times, result._windows, result._codes, sends, ids),
+                     repeat((inf, 0.0, 0, 0, 0))).__next__
+    te, enqueued = next_enqueue()
+    td, sojourn, dequeued = next_dequeue()
+    ta, cwnd, code, sent, acked = next_ack()
+    ta = ta + xb + rev
+    # k enqueues, j dequeues and i ACKs have run, so the next event to run
+    # takes run position k + j + i; the ACKs that have run sent sent_total
+    # packets
+    k = j = i = sent_total = 0
+    # the last instant two streams shared, and the run position of each
+    # event run at such an instant, by (stream, index)
+    tie_t = math.nan
+    at_ties: dict[tuple[int, int], int] = {}
+    limit = _TIE_MEMORY
     bits = 0.0
-    for t, code in zip(result._times, result._codes):
-        if code == _ENQUEUED:
-            bits += pkt
-            yield t, "enqueue", next(queued), bits, ""
-        elif code <= _DEQUEUED_MARKED:  # a dequeue, marked or not
-            bits -= pkt
-            pid, sojourn = next(served), next(sojourns)
-            if code == _DEQUEUED:
-                yield t, "dequeue", pid, bits, ""
-            else:
-                yield t, "dequeue", pid, bits, "marked"
-                yield t, "mark", pid, bits, f"sojourn={sojourn:.6f}"
+    while True:
+        if te < td and te < ta:
+            kind = _ENQ
+        elif td < ta and td < te:
+            kind = _DEQ
+        elif ta < te and ta < td:
+            kind = _ACK
         else:
-            pid, cwnd = next(acked), next(windows)
+            tie_t = min(te, ta)
+            if tie_t == inf:
+                return
+            if len(at_ties) > limit:
+                _forget_ties(result, at_ties, tie_t, k, j, i)
+                limit = max(_TIE_MEMORY, 2 * len(at_ties))
+            heads = ((_ENQ, k, te), (_DEQ, j, td), (_ACK, i, ta))
+            kind = min((_scheduler_key(result, at_ties, stream, index, paced, (k, j, i, sent_total)),
+                        stream)
+                       for stream, index, t in heads if t == tie_t)[1]
+        if kind == _ENQ:
+            bits += pkt
+            yield te, "enqueue", enqueued, bits, ""
+            if te == tie_t:
+                at_ties[_ENQ, k] = k + j + i
+            k += 1
+            te, enqueued = next_enqueue()
+        elif kind == _DEQ:
+            bits -= pkt
+            if sojourn > threshold:
+                yield td, "dequeue", dequeued, bits, "marked"
+                yield td, "mark", dequeued, bits, f"sojourn={sojourn:.6f}"
+            else:
+                yield td, "dequeue", dequeued, bits, ""
+            if td == tie_t:
+                at_ties[_DEQ, j] = k + j + i
+            j += 1
+            td, sojourn, dequeued = next_dequeue()
+        else:
             if code == _ACKED:
-                yield t, "ack", pid, bits, f"cwnd={cwnd:.3f}"
+                yield ta, "ack", acked, bits, f"cwnd={cwnd:.3f}"
             else:
                 if code == _DECREASED:
-                    yield t, "window", pid, bits, f"decrease cwnd={cwnd:.3f}"
-                yield t, "ack", pid, bits, f"marked cwnd={cwnd:.3f}"
+                    yield ta, "window", acked, bits, f"decrease cwnd={cwnd:.3f}"
+                yield ta, "ack", acked, bits, f"marked cwnd={cwnd:.3f}"
+            if ta == tie_t:
+                at_ties[_ACK, i] = k + j + i
+            i += 1
+            sent_total += sent
+            ta, cwnd, code, sent, acked = next_ack()
+            ta = ta + xb + rev
+
+
+def _event_time(result: PacketSimResult, stream: int, index: int) -> float:
+    """The time of event ``index`` of a stream of :func:`_records`."""
+    if stream == _ENQ:
+        return result._arrival_times[index]
+    config = result.config
+    departure = result._dequeue_times[index]
+    return departure if stream == _DEQ else departure + config.x_to_b_delay + config.reverse_delay
+
+
+def _scheduler_key(result: PacketSimResult, at_ties: dict[tuple[int, int], int], stream: int,
+                   index: int, paced: int, ran: tuple[int, int, int, int]) -> tuple[float, ...]:
+    """The sort key, among the events at one instant, of event ``index`` of
+    ``stream`` in :func:`_records`, once ``ran`` = (k, j, i, sent): k
+    enqueues, j dequeues and i ACKs have run, and those ACKs sent ``sent``
+    packets.  Ids below ``paced`` are the paced burst's.
+
+    Events at one instant run in the order they were scheduled: by the run
+    order of their schedulers, then by the order within the scheduling step.
+    A sent arrival is scheduled by the ACK that sent it, an ACK by its
+    dequeue, and a dequeue by whichever ran later of its own enqueue and the
+    previous dequeue; a dequeue schedules its ACK before the next departure.
+    The paced burst is scheduled before the run starts, so it comes first.
+    Two schedulers run in time order, and at one instant in run order: the
+    run position ``at_ties`` holds if the instant held events of two
+    streams, else the index within the one stream.  A scheduler that has not
+    run yet gives an infinite key.
+    """
+    k, j, i, sent = ran
+    if stream == _ENQ:
+        pid = result._packet_ids[index]
+        if pid < paced:
+            return (-math.inf, pid)
+        nth = pid - paced  # among the sent packets
+        if nth >= sent:  # its ACK has not run
+            return (math.inf,)
+        # walk back over the ACKs that ran since: they ran within one forward
+        # delay of it
+        sends, ack = result._sends, i - 1
+        first = sent - sends[ack]
+        while first > nth:
+            ack -= 1
+            first -= sends[ack]
+        scheduler, order = (_ACK, ack), 0
+    elif stream == _DEQ:
+        if index >= k:  # its own enqueue has not run
+            return (math.inf,)
+        scheduler, order = (_ENQ, index), 0
+        if index:
+            previous = (_DEQ, index - 1)
+            arrived, freed = result._arrival_times[index], result._dequeue_times[index - 1]
+            if freed > arrived or (freed == arrived and at_ties[previous] > at_ties[scheduler]):
+                scheduler, order = previous, 1
+    else:
+        if index >= j:  # its dequeue has not run
+            return (math.inf,)
+        scheduler, order = (_DEQ, index), 0
+    t = _event_time(result, *scheduler)
+    return (t, at_ties.get(scheduler, scheduler[1]), order)
+
+
+def _forget_ties(result: PacketSimResult, at_ties: dict[tuple[int, int], int], now: float,
+                 k: int, j: int, i: int) -> None:
+    """Drop from ``at_ties`` the events no event still to run at or after
+    ``now`` can have as its scheduler: an enqueue whose dequeue has run, a
+    dequeue whose ACK and next dequeue have run, and an ACK whose sends have
+    all arrived before ``now``."""
+    fwd = result.config.forward_delay
+    live = {}
+    for (stream, index), position in at_ties.items():
+        if (index >= j if stream == _ENQ
+                else index >= i or index + 1 >= j if stream == _DEQ
+                else _event_time(result, _ACK, index) + fwd >= now):
+            live[stream, index] = position
+    at_ties.clear()
+    at_ties.update(live)
 
 
 def _log_lines(result: PacketSimResult) -> Iterator[str]:

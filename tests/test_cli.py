@@ -794,6 +794,22 @@ USAGE_ERRORS = {
         ["sweep", "--c-list", "2"],
         "error: pass exactly one of --delay-list-ms / --ramp-list-ms\n",
     ),
+    "delay_on_step_sweep": (
+        ["sweep", "--c-list", "2", "--delay-list-ms", "10", "--delay-ms", "-5"],
+        "error: --delay-ms is the fixed delay of a --ramp-list-ms sweep; --delay-list-ms takes none\n",
+    ),
+    "nan_delay_on_step_sweep": (
+        ["sweep", "--c-list", "2", "--delay-list-ms", "10", "--delay-ms", "nan", "--format", "json"],
+        "error: --delay-ms is the fixed delay of a --ramp-list-ms sweep; --delay-list-ms takes none\n",
+    ),
+    "delay_on_fig5": (
+        ["sweep", "--fig5", "--delay-ms", "inf", "--format", "json"],
+        "error: --delay-ms is the fixed delay of a --ramp-list-ms sweep; --fig5 takes none\n",
+    ),
+    "delay_on_fig7": (
+        ["sweep", "--fig7", "--delay-ms", "-1"],
+        "error: --delay-ms is the fixed delay of a --ramp-list-ms sweep; --fig7 takes none\n",
+    ),
     "scenario_without_action": (
         ["scenario"],
         "error: pass --list, --table <name>, or --emit <scenario>\n",
