@@ -464,7 +464,9 @@ def _self_test_grid(grid) -> None:
 
 def _unused_delay(sweep: str) -> ValueError:
     """The error for ``--delay-ms`` on a sweep that does not read it."""
-    return ValueError(f"--delay-ms is the fixed delay of a --ramp-list-ms sweep; {sweep} takes none")
+    return ValueError(
+        f"--delay-ms is the fixed delay of a --ramp-list-ms sweep; {sweep} takes none"
+    )
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

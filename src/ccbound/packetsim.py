@@ -15,10 +15,10 @@ the previous departure, whichever is later, and its ACK is queued for one
 return trip after its departure.  Every event source is a FIFO already in
 time order, so none needs a heap: the ACKs, the paced initial burst and
 the ACK-clocked send bursts.  Equal configs and seeds give bit-identical
-runs.  Service starts never go back in time, so a cursor that only moves forward finds the trace row that sets
-each packet's rate.  A row whose rate holds prices its packet service time
-once, when the cursor enters it; only a row whose rate changes reads the
-rate at each service start.
+runs.  Service starts never go back in time, so a cursor that only moves
+forward finds the trace row that sets each packet's rate.  A row whose
+rate holds prices its packet service time once, when the cursor enters
+it; only a row whose rate changes reads the rate at each service start.
 
 A run formats nothing while it runs.  It stores each fact once, in typed
 columns: the time and id of each arrival, the dequeue time and sojourn of
@@ -452,8 +452,8 @@ def _records(result: PacketSimResult) -> Iterator[tuple[float, str, int, float, 
                 _forget_ties(result, at_ties, tie_t, k, j, i)
                 limit = max(_TIE_MEMORY, 2 * len(at_ties))
             heads = ((_ENQ, k, te), (_DEQ, j, td), (_ACK, i, ta))
-            kind = min((_scheduler_key(result, at_ties, stream, index, paced, (k, j, i, sent_total)),
-                        stream)
+            ran = (k, j, i, sent_total)
+            kind = min((_scheduler_key(result, at_ties, stream, index, paced, ran), stream)
                        for stream, index, t in heads if t == tie_t)[1]
         if kind == _ENQ:
             bits += pkt
