@@ -384,7 +384,29 @@ def _parse_fluid_controller(spec: str, delay_ms: float | None):
     )
 
 
+def _check_aimd_flags(args: argparse.Namespace) -> None:
+    """Check the aimd flags by the packet config's rules under every
+    controller: the JSON envelope echoes them, so a run that ignores a
+    value must not accept one the aimd run would refuse."""
+    for flag, value, unit, zero_ok in (
+        ("--fwd-ms", args.fwd_ms, "ms", True),
+        ("--xb-ms", args.xb_ms, "ms", True),
+        ("--rev-ms", args.rev_ms, "ms", True),
+        ("--mark-threshold-ms", args.mark_threshold_ms, "ms", True),
+        ("--packet-bytes", args.packet_bytes, "bytes", False),
+        ("--ai", args.ai, "packets per round trip", False),
+    ):
+        if not (math.isfinite(value) and (value >= 0.0 if zero_ok else value > 0.0)):
+            bound = ">=" if zero_ok else ">"
+            raise ValueError(f"{flag} must be finite and {bound} 0 {unit}, got {value!r}")
+    if not 0.0 < args.md < 1.0:
+        raise ValueError(f"--md must lie in (0, 1), got {args.md!r}")
+    if args.initial_window < 0:
+        raise ValueError(f"--initial-window must be >= 0 packets, got {args.initial_window!r}")
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    _check_aimd_flags(args)
     trace = _load_trace(args)
     sim_horizon = None if args.horizon_ms is None else args.horizon_ms * MS
     if args.controller == "aimd":

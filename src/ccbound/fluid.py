@@ -455,9 +455,9 @@ def sample_result(result: FluidResult, step: float) -> list[FluidSample]:
     columns stands in for ``backlog_at``'s bisection (it moves to the last
     piece starting at or before each instant and reads that piece's
     coefficients, with no :class:`BacklogSegment` built), and
-    :meth:`CapacityTrace.drain_times` answers the FIFO waits with
-    bisections that start where the previous sample's landed and without
-    the per-query checks.  Sampling is presentation only:
+    :meth:`CapacityTrace.drain_times` answers the FIFO waits without the
+    per-query checks, bisecting only when a sample leaves the previous
+    sample's trace row or drain row.  Sampling is presentation only:
     peak statistics come from the segments, so a sampled maximum can only
     undershoot ``result.peak_backlog``.  A step that would yield more than
     :data:`MAX_SAMPLES` rows raises ValueError.

@@ -72,6 +72,15 @@ _TIE_MEMORY = 64
 MAX_PACKETS = 1_000_000
 
 
+def _refuse_bools(config, names: tuple[str, ...]) -> None:
+    """Raise for a bool in a float field: float() and the range checks take
+    True as 1, which would run 1-bit packets or 1 s delays."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class AimdParams:
     """Additive increase (packets per round trip) / multiplicative decrease."""
@@ -80,6 +89,7 @@ class AimdParams:
     multiplicative_decrease: float = 0.5
 
     def __post_init__(self) -> None:
+        _refuse_bools(self, ("additive_increase", "multiplicative_decrease"))
         if not (math.isfinite(self.additive_increase) and self.additive_increase > 0.0):
             raise ValueError(
                 f"additive_increase must be > 0 packets per round trip, got {self.additive_increase!r}"
@@ -103,15 +113,26 @@ class PacketSimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _refuse_bools(self, ("packet_size", "forward_delay", "x_to_b_delay", "reverse_delay",
+                             "mark_threshold"))
         if not (math.isfinite(self.packet_size) and self.packet_size > 0.0):
             raise ValueError(f"packet_size must be > 0 bits, got {self.packet_size!r}")
-        # no rate on the trace lies below its lowest breakpoint rate, so
-        # every service time is finite when this one is
-        lowest = min(bp.rate for bp in self.trace.breakpoints)
+        # no rate on the trace lies outside its breakpoint rates, so every
+        # service time is finite when the slowest is, and moves the clock
+        # at the horizon when the fastest does
+        rates = [bp.rate for bp in self.trace.breakpoints]
+        lowest, top, horizon = min(rates), max(rates), self.trace.horizon
         if not math.isfinite(self.packet_size / lowest):
             raise ValueError(
                 f"packet_size {self.packet_size!r} bits has no finite service time "
                 f"at the trace's lowest rate {lowest!r} bit/s"
+            )
+        # a service that adds nothing to the horizon can leave a run with no
+        # delays at one instant, sending packets until the packet cap
+        if horizon + self.packet_size / top == horizon:
+            raise ValueError(
+                f"packet_size {self.packet_size!r} bits is served at the trace's top rate "
+                f"{top!r} bit/s in less time than the horizon {horizon!r} s can add"
             )
         check_seconds(self.forward_delay, "forward_delay")
         check_seconds(self.x_to_b_delay, "x_to_b_delay")

@@ -810,6 +810,27 @@ USAGE_ERRORS = {
         ["sweep", "--fig7", "--delay-ms", "-1"],
         "error: --delay-ms is the fixed delay of a --ramp-list-ms sweep; --fig7 takes none\n",
     ),
+    # the aimd flags are checked under every controller, as the JSON
+    # envelope echoes them
+    "nan_forward_delay_under_fixed": (
+        ["simulate", "--scenario", "wifi-step", "--controller", "fixed:8", "--fwd-ms", "nan",
+         "--format", "json"],
+        "error: --fwd-ms must be finite and >= 0 ms, got nan\n",
+    ),
+    "nan_packet_bytes_under_oracle": (
+        ["simulate", "--scenario", "wifi-step", "--controller", "oracle-final", "--delay-ms", "10",
+         "--packet-bytes", "nan", "--format", "json"],
+        "error: --packet-bytes must be finite and > 0 bytes, got nan\n",
+    ),
+    "nan_ai_under_fixed": (
+        ["simulate", "--scenario", "wifi-step", "--controller", "fixed:8", "--ai", "nan",
+         "--format", "json"],
+        "error: --ai must be finite and > 0 packets per round trip, got nan\n",
+    ),
+    "negative_initial_window_under_fixed": (
+        ["simulate", "--scenario", "wifi-step", "--controller", "fixed:8", "--initial-window", "-3"],
+        "error: --initial-window must be >= 0 packets, got -3\n",
+    ),
     "scenario_without_action": (
         ["scenario"],
         "error: pass --list, --table <name>, or --emit <scenario>\n",
@@ -821,6 +842,14 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv, stderr", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
     def test_exit_2_with_the_message(self, capsys, argv, stderr):
         assert run_cli(capsys, *argv) == (2, "", stderr)
+
+    @pytest.mark.parametrize("flag, value", [("--xb-ms", "-1"), ("--rev-ms", "inf"),
+                                             ("--mark-threshold-ms", "nan"), ("--md", "1")])
+    def test_every_aimd_flag_is_checked_under_a_fluid_controller(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "simulate", "--scenario", "wifi-step",
+                                 "--controller", "fixed:8", flag, value)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {flag} must")
 
 
 class TestParser:

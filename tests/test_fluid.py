@@ -558,6 +558,30 @@ class TestQueryCount:
         assert small["drain_times"] > 0 and large["drain_times"] > 0
         assert sum(large.values()) <= 4.5 * sum(small.values()), (small, large)
 
+    def test_sampling_a_fine_grid_rarely_bisects(self, monkeypatch):
+        # A 1 ms grid over 10 ms rows under a tracking sender, as the CLI
+        # samples cellular-style traces: most samples lie in the previous
+        # sample's row and drain in the previous drain row, so they make no
+        # bisection.  Bisecting both rows of every sample is two per sample.
+        rng = random.Random(22)
+        n = 300
+        bps = [Breakpoint(k / 100, rng.uniform(1e7, 1e8),
+                          rng.choice(("hold", "linear")) if k < n - 1 else "hold")
+               for k in range(n)]
+        result = simulate_fluid(SimConfig(CapacityTrace(tuple(bps), n / 100), OracleTracking(0.02)))
+        calls = Counter()
+        bisect = trace_module.bisect_right
+
+        def counted(*args):
+            calls["bisect_right"] += 1
+            return bisect(*args)
+
+        monkeypatch.setattr(trace_module, "bisect_right", counted)
+        samples = sample_result(result, 0.001)
+        waits = sum(s.backlog > 0.0 for s in samples)
+        assert waits > 0.9 * len(samples)
+        assert calls["bisect_right"] <= 0.25 * len(samples), (calls, len(samples))
+
     def test_solve_and_sampling_build_no_segment_objects(self, monkeypatch):
         built = Counter()
         init = BacklogSegment.__init__

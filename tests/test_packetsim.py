@@ -382,13 +382,15 @@ ARRIVAL_AT_DEPARTURE = PacketSimConfig(CONSTANT_2_16, packet_size=2.0**14, forwa
 # dequeue schedules its ACK and packet 1's departure for one instant.
 ACK_AT_DEPARTURE = PacketSimConfig(CONSTANT_2_16, packet_size=2.0**14, forward_delay=EDGE_FWD,
                                    x_to_b_delay=0.25, reverse_delay=0.0, initial_window=2, seed=0)
-# A 2^-40-bit packet is served in 2^-56 s, so the paced packets depart
-# within a few ulps of time 0, and adding the 0.125 s return trip rounds
-# several of their ACKs onto one instant; with no forward delay each send
-# arrives then too, beside the ACKs that did not send it.
-SENT_AT_OTHER_ACK = PacketSimConfig(CONSTANT_2_16, packet_size=2.0**-40, forward_delay=0.0,
-                                    x_to_b_delay=2.0**-4, reverse_delay=2.0**-4, initial_window=4,
-                                    seed=EDGE_SEED)
+# A 5*2^-39-bit packet is served in 5*2^-55 s, five eighths of an ulp of
+# 1 s: above the half ulp of the horizon that a config refuses, yet close
+# enough that adding the 1 s return trip rounds the paced packets' ACKs in
+# twos and threes onto one instant; with no forward delay each send arrives
+# then too, beside ACKs that did not send it.
+SENT_AT_OTHER_ACK = PacketSimConfig(CapacityTrace((Breakpoint(0.0, 2.0**16),), 1.5),
+                                    packet_size=5 * 2.0**-39, forward_delay=0.0,
+                                    x_to_b_delay=2.0**-1, reverse_delay=2.0**-1, initial_window=32,
+                                    seed=0)
 # From half packet 0's arrival time on, the link runs at the rate that
 # makes packet 0 depart at the very instant packet 1 is paced in (found by
 # stepping the float rate), so a paced arrival ties with a dequeue; paced
@@ -811,6 +813,35 @@ class TestValidation:
         result = simulate_packets(PacketSimConfig(slow))
         assert 0 < result.packets_delivered < result.packets_sent
         assert math.isfinite(result.peak_queue_delay)
+
+    @pytest.mark.parametrize("field", ["packet_size", "forward_delay", "x_to_b_delay",
+                                       "reverse_delay", "mark_threshold"])
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_float_fields_refuse_a_bool(self, field, flag):
+        # float() and the range checks read True as 1: 1-bit packets, 1 s delays
+        trace = make_step_trace(1e7, 1e6, 1.0, 2.0)
+        with pytest.raises(ValueError, match=f"{field} must be a number, got {flag}"):
+            PacketSimConfig(trace, **{field: flag})
+
+    @pytest.mark.parametrize("field", ["additive_increase", "multiplicative_decrease"])
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_aimd_params_refuse_a_bool(self, field, flag):
+        with pytest.raises(ValueError, match=f"{field} must be a number, got {flag}"):
+            AimdParams(**{field: flag})
+
+    def test_service_must_move_the_clock_at_the_horizon(self):
+        # 2^-40 bits at 2^16 bit/s is 2^-56 s, which 1.0 + 2^-56 rounds away:
+        # with zero delays the run never left t = 0 and sent packets until
+        # the packet cap
+        with pytest.raises(ValueError, match=r"packet_size 9\.094947017729282e-13 bits .* 65536\.0 bit/s"):
+            PacketSimConfig(CONSTANT_2_16, packet_size=2.0**-40, forward_delay=0.0,
+                            x_to_b_delay=0.0, reverse_delay=0.0, initial_window=1)
+        # the top rate sets the bound: a slow row elsewhere does not help
+        fast_then_slow = CapacityTrace((Breakpoint(0.0, 2.0**16), Breakpoint(0.5, 1.0)), 1.0)
+        with pytest.raises(ValueError, match="top rate 65536.0"):
+            PacketSimConfig(fast_then_slow, packet_size=2.0**-37)
+        # one ulp of the horizon, 2^-52 s, is served
+        PacketSimConfig(CONSTANT_2_16, packet_size=2.0**-36)
 
     @pytest.mark.parametrize("window", [2.5, math.nan, 3.0, "4", True, False])
     def test_initial_window_must_be_a_whole_number(self, window):

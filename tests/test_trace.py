@@ -136,6 +136,31 @@ def walk_drain(trace, t, bits):
     return None
 
 
+def bisected_drain(trace, t, bits):
+    """Drain time by two unseeded bisections, one over the breakpoint times
+    and one over the prefix table, with the area of t's row and the stable
+    root of the serving row's quadratic written out."""
+    if bits <= 0.0:
+        return 0.0
+    times, cum, rows = trace._times, trace._cum, trace._rows
+    i = bisect_right(times, t) - 1
+    start, end, rate, slope, _ = rows[i]
+    head = (end - t) * (rate + 0.5 * slope * ((t - start) + (end - start)))
+    if bits <= head:
+        row, at, rest = rows[i], t, bits
+    else:
+        target = cum[i + 1] + (bits - head)
+        if target > cum[-1]:
+            return None
+        # the last row starting at or before the drain instant
+        j = bisect_right(cum, target, 0, len(times)) - 1
+        row, at, rest = rows[j], rows[j][0], target - cum[j]
+    start, end, rate, slope, _ = row
+    v0 = rate + slope * (at - start)
+    x = 2.0 * rest / (v0 + math.sqrt(max(0.0, v0 * v0 + 2.0 * slope * rest)))
+    return min(at + x, end) - t
+
+
 def reference_events(trace):
     """Reference reduction events read off the capacity values alone.
 
@@ -538,6 +563,40 @@ class TestCumulativeCurve:
         )
         for queries in (sorted(aimed), sorted(aimed, reverse=True), drawn, sorted(drawn)):
             assert list(trace.drain_times(queries)) == [trace.drain_time(*q) for q in queries]
+
+    @given(close_traces(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_drain_times_equal_two_bisections_bit_for_bit(self, trace, data):
+        # Ascending grids of 1-50 instants per row and each row's end, each
+        # with no bits, bits past the horizon, bits whose target lands on a
+        # prefix entry or one ulp either side, or drawn bits: the rows a
+        # query keeps from the previous one must be the rows two unseeded
+        # bisections find, and the inlined arithmetic must keep every bit.
+        cum = trace._cum
+        rng = data.draw(st.randoms(use_true_random=False))
+        instants = []
+        for start, end, *_ in trace._rows:
+            m = data.draw(st.integers(1, 50))
+            instants += [start + (end - start) * k / m for k in range(m)] + [end]
+        queries = []
+        for t in instants:
+            served = trace.integrate(0.0, t)
+            kind = rng.randrange(4)
+            if kind == 0:
+                bits = 0.0
+            elif kind == 1:
+                bits = cum[-1] - served + rng.choice((math.ulp(cum[-1]), cum[-1]))
+            elif kind == 2:
+                bits = rng.choice(cum) - served
+                bits = rng.choice((bits, math.nextafter(bits, math.inf), math.nextafter(bits, 0.0)))
+            else:
+                bits = rng.uniform(0.0, 1.2) * (cum[-1] - served)
+            queries.append((t, bits))
+        expected = [bisected_drain(trace, t, bits) for t, bits in queries]
+        for answers in (trace.drain_times(queries), reversed(list(trace.drain_times(queries[::-1])))):
+            assert [None if a is None else a.hex() for a in answers] == [
+                None if e is None else e.hex() for e in expected
+            ]
 
     def test_drain_time_edges(self):
         t = make_step_trace(1e8, 1e7, 1.0, 5.0)
