@@ -384,6 +384,13 @@ def _parse_fluid_controller(spec: str, delay_ms: float | None):
     )
 
 
+def _check_flag(flag: str, value: float, unit: str, zero_ok: bool) -> None:
+    """Raise unless ``value`` is finite and > 0, or >= 0 when ``zero_ok``."""
+    if not (math.isfinite(value) and (value >= 0.0 if zero_ok else value > 0.0)):
+        bound = ">=" if zero_ok else ">"
+        raise ValueError(f"{flag} must be finite and {bound} 0 {unit}, got {value!r}")
+
+
 def _check_aimd_flags(args: argparse.Namespace) -> None:
     """Check the aimd flags by the packet config's rules under every
     controller: the JSON envelope echoes them, so a run that ignores a
@@ -396,9 +403,7 @@ def _check_aimd_flags(args: argparse.Namespace) -> None:
         ("--packet-bytes", args.packet_bytes, "bytes", False),
         ("--ai", args.ai, "packets per round trip", False),
     ):
-        if not (math.isfinite(value) and (value >= 0.0 if zero_ok else value > 0.0)):
-            bound = ">=" if zero_ok else ">"
-            raise ValueError(f"{flag} must be finite and {bound} 0 {unit}, got {value!r}")
+        _check_flag(flag, value, unit, zero_ok)
     if not 0.0 < args.md < 1.0:
         raise ValueError(f"--md must lie in (0, 1), got {args.md!r}")
     if args.initial_window < 0:
@@ -407,6 +412,12 @@ def _check_aimd_flags(args: argparse.Namespace) -> None:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     _check_aimd_flags(args)
+    # checked whenever given, under every controller: aimd reads neither
+    # value, and the JSON envelope echoes both
+    if args.sample_ms is not None:
+        _check_flag("--sample-ms", args.sample_ms, "ms", zero_ok=False)
+    if args.delay_ms is not None:
+        _check_flag("--delay-ms", args.delay_ms, "ms", zero_ok=True)
     trace = _load_trace(args)
     sim_horizon = None if args.horizon_ms is None else args.horizon_ms * MS
     if args.controller == "aimd":

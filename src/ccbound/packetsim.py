@@ -21,17 +21,16 @@ rate holds prices its packet service time once, when the cursor enters
 it; only a row whose rate changes reads the rate at each service start.
 
 A run formats nothing while it runs.  It stores each fact once, in typed
-columns: the time and id of each arrival, the dequeue time and sojourn of
-each delivered packet, and the window, mark code and send count of each
-ACK.  One reader merges those columns into the log's records, in the order
-of a loop that also ran each departure as an event and ran events at
-equal times in the order they were scheduled; ``PacketSimResult.log``,
-:func:`event_log_to_csv` and the CLI's ``--log-out``, which streams the
-CSV lines to its file, all read the log through it.
+columns: the arrival time of each paced packet, the dequeue time and
+sojourn of each delivered packet, and the window, mark code and send
+count of each ACK.  One reader replays the log from them on a (t, seq)
+heap; ``PacketSimResult.log``, :func:`event_log_to_csv` and the CLI's
+``--log-out``, which streams the CSV lines to its file, all read it.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from array import array
@@ -39,7 +38,7 @@ from bisect import bisect_left
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import count
 from typing import NamedTuple
 
 from .bounds import peak_delay_ramp
@@ -60,12 +59,8 @@ __all__ = [
 # reacted to; and marked, cutting the window, which writes a window record
 # before its ack record.
 _ACKED, _ACKED_MARKED, _DECREASED = range(3)
-# The log's three event streams
+# The kinds of event the log's reader replays
 _ENQ, _DEQ, _ACK = range(3)
-# Run positions of tied events the log's reader holds before it first drops
-# those no event still to come can need; after each drop it holds up to
-# twice what it kept
-_TIE_MEMORY = 64
 
 # Most packets one simulate_packets run may send; a send burst that would
 # pass it is refused before any of its packets is scheduled.
@@ -161,12 +156,12 @@ class LogEntry(NamedTuple):
 @dataclass(frozen=True)
 class PacketSimResult:
     config: PacketSimConfig
-    # One time and one packet id per arrival, in arrival order; one dequeue
-    # time and one sojourn per delivered packet; one window, one mark code
-    # and one count of the packets it sent per ACK.  Arrays are unhashable,
-    # so hash() skips them; it still agrees with ==, which compares them.
-    _arrival_times: array = field(repr=False, hash=False)
-    _packet_ids: array = field(repr=False, hash=False)
+    # One arrival time per paced packet, set by the seeded jitter (a sent
+    # packet's follows from its ACK); one dequeue time and one sojourn per
+    # delivered packet; one window, one mark code and one count of the
+    # packets it sent per ACK.  Arrays are unhashable, so hash() skips
+    # them; it still agrees with ==, which compares them.
+    _paced_times: array = field(repr=False, hash=False)
     _dequeue_times: array = field(repr=False, hash=False)
     _sojourns: array = field(repr=False, hash=False)
     _windows: array = field(repr=False, hash=False)
@@ -206,11 +201,9 @@ def simulate_packets(config: PacketSimConfig) -> PacketSimResult:
     horizon is not delivered, and no later packet is served.  Each step runs
     the earlier of the oldest pending arrival and the oldest ACK in flight,
     the arrival on a tie; of two arrivals at one instant, the paced initial
-    burst's comes first.  Only the order within each kind matters: the
-    server's state depends on the order of the arrivals alone, and the
-    sender's on the order of the ACKs.  :func:`event_log_to_csv` and
-    ``log`` order the events of different kinds at one instant as they are
-    read.
+    burst's comes first.  The server's state depends on the order of the
+    arrivals alone, and the sender's on that of the ACKs; the log orders
+    the events of different kinds at one instant when it is read.
     A run whose queue never holds a waiting packet before the first
     capacity reduction is flagged ``congestion_reached=False``: the sender
     never actually pressed against the link, so bound comparisons are
@@ -261,7 +254,7 @@ def simulate_packets(config: PacketSimConfig) -> PacketSimResult:
     row = rows[0]
     held = pkt / row[2] if row[4] == row[2] else None
 
-    arrival_times, packet_ids = array("d"), array("q")
+    paced_times = array("d")
     dequeue_times, sojourns = array("d"), array("d")
     windows, codes, sends = array("d"), bytearray(), array("q")
 
@@ -274,6 +267,7 @@ def simulate_packets(config: PacketSimConfig) -> PacketSimResult:
         t0 = k * spacing + rng.random() * spacing * 0.5
         if t0 >= horizon:
             break
+        paced_times.append(t0 + fwd)
         paced.append((t0 + fwd, k, k + 1))
         next_pid = in_flight = k + 1
 
@@ -285,11 +279,9 @@ def simulate_packets(config: PacketSimConfig) -> PacketSimResult:
             if not t <= horizon:
                 break
             _, first, end = arrivals.popleft()
+            if not free <= horizon:
+                continue
             for pid in range(first, end):
-                arrival_times.append(t)
-                packet_ids.append(pid)
-                if not free <= horizon:
-                    continue
                 start = free if free > t else t
                 if next_starts[r] <= start:
                     while next_starts[r] <= start:
@@ -302,11 +294,12 @@ def simulate_packets(config: PacketSimConfig) -> PacketSimResult:
                 if start <= warm_end and start - t > service:
                     congestion_seen = True
                 free = start + service
-                if free <= horizon:
-                    sojourn = free - t
-                    dequeue_times.append(free)
-                    sojourns.append(sojourn)
-                    acks.append((free + xb + rev, sojourn > threshold, pid))
+                if not free <= horizon:
+                    break
+                sojourn = free - t
+                dequeue_times.append(free)
+                sojourns.append(sojourn)
+                acks.append((free + xb + rev, sojourn > threshold, pid))
             continue
         t, marked, pid = acks.popleft()
         if not t <= horizon:
@@ -339,8 +332,7 @@ def simulate_packets(config: PacketSimConfig) -> PacketSimResult:
 
     return PacketSimResult(
         config=config,
-        _arrival_times=arrival_times,
-        _packet_ids=packet_ids,
+        _paced_times=paced_times,
         _dequeue_times=dequeue_times,
         _sojourns=sojourns,
         _windows=windows,
@@ -415,175 +407,81 @@ def _records(result: PacketSimResult) -> Iterator[tuple[float, str, int, float, 
     """The log's records in order, each ``(t, event, packet id, queue bits,
     detail)``, read from the run's columns.
 
-    The log is the one a loop that also ran each departure as an event, and
-    ran events at equal times in the order they were scheduled, would write.
-    It merges three streams, each already in time order: the enqueues (the
-    arrival columns), the dequeues (the dequeue columns) and the ACKs, one
-    return trip after each dequeue.  The k-th dequeue and the k-th ACK carry
-    the k-th arrival's packet id, since the queue and the ACKs are FIFOs.
-    The merge is time first.  Only when two streams' next events fall on one
-    instant does it compare their keys from :func:`_scheduler_key`: the
-    time of the event's scheduler, then the scheduler's run position, then
-    the order within the scheduling step.  So it keeps the run position of
-    each event run at an instant two streams share, for as long as a later
-    tie may need it; no other event's position is kept.
-
-    The queue bits replay the loop's running count, ``+= packet_size`` at an
-    enqueue and ``-= packet_size`` at a dequeue, so they come out bit for
-    bit.
+    It replays the loop that also runs each departure as an event, from one
+    heap keyed (t, seq), where seq ticks as each event is scheduled: events
+    at one instant run in the order they were scheduled.  The paced
+    enqueues are scheduled first.  An enqueue into an empty queue schedules its
+    packet's departure; a dequeue its ACK, one return trip on, then the
+    next departure if a packet waits; an ACK the enqueues of its sends, one
+    forward delay on.  The k-th dequeue and ACK read the k-th entries of
+    their columns; no departure follows the last one delivered.  A sent
+    packet arrives at ``(departure + x_to_b_delay + reverse_delay) +
+    forward_delay``: the loop's own float operations, as are the queue
+    bits' ``+= packet_size`` and ``-= packet_size``, so every record comes
+    out bit for bit.
     """
     config = result.config
-    pkt, threshold = config.packet_size, config.mark_threshold
-    xb, rev = config.x_to_b_delay, config.reverse_delay
-    ids, sends = result._packet_ids, result._sends
-    paced = result.packets_sent - sum(sends)  # ids below it are the paced burst's
-    inf = math.inf
-    # each stream's next event; past its end, one at an infinite time
-    next_enqueue = chain(zip(result._arrival_times, ids), repeat((inf, 0))).__next__
-    next_dequeue = chain(zip(result._dequeue_times, result._sojourns, ids),
-                         repeat((inf, 0.0, 0))).__next__
-    next_ack = chain(zip(result._dequeue_times, result._windows, result._codes, sends, ids),
-                     repeat((inf, 0.0, 0, 0, 0))).__next__
-    te, enqueued = next_enqueue()
-    td, sojourn, dequeued = next_dequeue()
-    ta, cwnd, code, sent, acked = next_ack()
-    ta = ta + xb + rev
-    # k enqueues, j dequeues and i ACKs have run, so the next event to run
-    # takes run position k + j + i; the ACKs that have run sent sent_total
-    # packets
-    k = j = i = sent_total = 0
-    # the last instant two streams shared, and the run position of each
-    # event run at such an instant, by (stream, index)
-    tie_t = math.nan
-    at_ties: dict[tuple[int, int], int] = {}
-    limit = _TIE_MEMORY
-    bits = 0.0
-    while True:
-        if te < td and te < ta:
-            kind = _ENQ
-        elif td < ta and td < te:
-            kind = _DEQ
-        elif ta < te and ta < td:
-            kind = _ACK
-        else:
-            tie_t = min(te, ta)
-            if tie_t == inf:
-                return
-            if len(at_ties) > limit:
-                _forget_ties(result, at_ties, tie_t, k, j, i)
-                limit = max(_TIE_MEMORY, 2 * len(at_ties))
-            heads = ((_ENQ, k, te), (_DEQ, j, td), (_ACK, i, ta))
-            ran = (k, j, i, sent_total)
-            kind = min((_scheduler_key(result, at_ties, stream, index, paced, ran), stream)
-                       for stream, index, t in heads if t == tie_t)[1]
+    pkt, threshold, horizon = config.packet_size, config.mark_threshold, config.trace.horizon
+    fwd, xb, rev = config.forward_delay, config.x_to_b_delay, config.reverse_delay
+    dequeue_times, sojourns = result._dequeue_times, result._sojourns
+    windows, codes, sends = result._windows, result._codes, result._sends
+    delivered = len(dequeue_times)
+    push, pop, tick = heapq.heappush, heapq.heappop, count().__next__
+    # Events are (t, seq, kind, packet id).  Each FIFO below is scheduled in
+    # (t, seq) order, so the heap holds only its oldest event, beside the
+    # pending departure.
+    paced = deque((t, tick(), _ENQ, pid) for pid, t in enumerate(result._paced_times))
+    arrivals: deque[tuple[float, int, int, int]] = deque()  # of the sent packets
+    acks: deque[tuple[float, int, int, int]] = deque()
+    heap = [paced[0]] if paced else []
+    queue: deque[int] = deque()  # the ids of the queued packets, head first
+    npaced = next_pid = len(paced)
+    bits, j, i = 0.0, 0, 0  # the queue bits; j dequeues and i ACKs have run
+    while heap and heap[0][0] <= horizon:
+        t, _, kind, pid = pop(heap)
+        if kind != _DEQ:  # the next event of its FIFO takes its place
+            fifo = acks if kind == _ACK else paced if pid < npaced else arrivals
+            fifo.popleft()
+            if fifo:
+                push(heap, fifo[0])
         if kind == _ENQ:
             bits += pkt
-            yield te, "enqueue", enqueued, bits, ""
-            if te == tie_t:
-                at_ties[_ENQ, k] = k + j + i
-            k += 1
-            te, enqueued = next_enqueue()
+            yield t, "enqueue", pid, bits, ""
+            queue.append(pid)
+            if len(queue) == 1 and j < delivered:
+                push(heap, (dequeue_times[j], tick(), _DEQ, pid))
         elif kind == _DEQ:
+            queue.popleft()
             bits -= pkt
+            sojourn = sojourns[j]
             if sojourn > threshold:
-                yield td, "dequeue", dequeued, bits, "marked"
-                yield td, "mark", dequeued, bits, f"sojourn={sojourn:.6f}"
+                yield t, "dequeue", pid, bits, "marked"
+                yield t, "mark", pid, bits, f"sojourn={sojourn:.6f}"
             else:
-                yield td, "dequeue", dequeued, bits, ""
-            if td == tie_t:
-                at_ties[_DEQ, j] = k + j + i
+                yield t, "dequeue", pid, bits, ""
+            ack = (t + xb + rev, tick(), _ACK, pid)
+            if not acks:
+                push(heap, ack)
+            acks.append(ack)
             j += 1
-            td, sojourn, dequeued = next_dequeue()
+            if queue and j < delivered:
+                push(heap, (dequeue_times[j], tick(), _DEQ, queue[0]))
         else:
+            cwnd, code = windows[i], codes[i]
             if code == _ACKED:
-                yield ta, "ack", acked, bits, f"cwnd={cwnd:.3f}"
+                yield t, "ack", pid, bits, f"cwnd={cwnd:.3f}"
             else:
                 if code == _DECREASED:
-                    yield ta, "window", acked, bits, f"decrease cwnd={cwnd:.3f}"
-                yield ta, "ack", acked, bits, f"marked cwnd={cwnd:.3f}"
-            if ta == tie_t:
-                at_ties[_ACK, i] = k + j + i
+                    yield t, "window", pid, bits, f"decrease cwnd={cwnd:.3f}"
+                yield t, "ack", pid, bits, f"marked cwnd={cwnd:.3f}"
+            end, arrival = next_pid + sends[i], t + fwd
             i += 1
-            sent_total += sent
-            ta, cwnd, code, sent, acked = next_ack()
-            ta = ta + xb + rev
-
-
-def _event_time(result: PacketSimResult, stream: int, index: int) -> float:
-    """The time of event ``index`` of a stream of :func:`_records`."""
-    if stream == _ENQ:
-        return result._arrival_times[index]
-    config = result.config
-    departure = result._dequeue_times[index]
-    return departure if stream == _DEQ else departure + config.x_to_b_delay + config.reverse_delay
-
-
-def _scheduler_key(result: PacketSimResult, at_ties: dict[tuple[int, int], int], stream: int,
-                   index: int, paced: int, ran: tuple[int, int, int, int]) -> tuple[float, ...]:
-    """The sort key, among the events at one instant, of event ``index`` of
-    ``stream`` in :func:`_records`, once ``ran`` = (k, j, i, sent): k
-    enqueues, j dequeues and i ACKs have run, and those ACKs sent ``sent``
-    packets.  Ids below ``paced`` are the paced burst's.
-
-    Events at one instant run in the order they were scheduled: by the run
-    order of their schedulers, then by the order within the scheduling step.
-    A sent arrival is scheduled by the ACK that sent it, an ACK by its
-    dequeue, and a dequeue by whichever ran later of its own enqueue and the
-    previous dequeue; a dequeue schedules its ACK before the next departure.
-    The paced burst is scheduled before the run starts, so it comes first.
-    Two schedulers run in time order, and at one instant in run order: the
-    run position ``at_ties`` holds if the instant held events of two
-    streams, else the index within the one stream.  A scheduler that has not
-    run yet gives an infinite key.
-    """
-    k, j, i, sent = ran
-    if stream == _ENQ:
-        pid = result._packet_ids[index]
-        if pid < paced:
-            return (-math.inf, pid)
-        nth = pid - paced  # among the sent packets
-        if nth >= sent:  # its ACK has not run
-            return (math.inf,)
-        # walk back over the ACKs that ran since: they ran within one forward
-        # delay of it
-        sends, ack = result._sends, i - 1
-        first = sent - sends[ack]
-        while first > nth:
-            ack -= 1
-            first -= sends[ack]
-        scheduler, order = (_ACK, ack), 0
-    elif stream == _DEQ:
-        if index >= k:  # its own enqueue has not run
-            return (math.inf,)
-        scheduler, order = (_ENQ, index), 0
-        if index:
-            previous = (_DEQ, index - 1)
-            arrived, freed = result._arrival_times[index], result._dequeue_times[index - 1]
-            if freed > arrived or (freed == arrived and at_ties[previous] > at_ties[scheduler]):
-                scheduler, order = previous, 1
-    else:
-        if index >= j:  # its dequeue has not run
-            return (math.inf,)
-        scheduler, order = (_DEQ, index), 0
-    t = _event_time(result, *scheduler)
-    return (t, at_ties.get(scheduler, scheduler[1]), order)
-
-
-def _forget_ties(result: PacketSimResult, at_ties: dict[tuple[int, int], int], now: float,
-                 k: int, j: int, i: int) -> None:
-    """Drop from ``at_ties`` the events no event still to run at or after
-    ``now`` can have as its scheduler: an enqueue whose dequeue has run, a
-    dequeue whose ACK and next dequeue have run, and an ACK whose sends have
-    all arrived before ``now``."""
-    fwd = result.config.forward_delay
-    live = {}
-    for (stream, index), position in at_ties.items():
-        if (index >= j if stream == _ENQ
-                else index >= i or index + 1 >= j if stream == _DEQ
-                else _event_time(result, _ACK, index) + fwd >= now):
-            live[stream, index] = position
-    at_ties.clear()
-    at_ties.update(live)
+            for sent in range(next_pid, end):
+                entry = (arrival, tick(), _ENQ, sent)
+                if not arrivals:
+                    push(heap, entry)
+                arrivals.append(entry)
+            next_pid = end
 
 
 def _log_lines(result: PacketSimResult) -> Iterator[str]:

@@ -847,6 +847,26 @@ USAGE_ERRORS = {
         ["simulate", "--scenario", "wifi-step", "--controller", "fixed:8", "--md", "1"],
         "error: --md must lie in (0, 1), got 1.0\n",
     ),
+    "nan_sample_step_under_aimd": (
+        ["simulate", "--scenario", "wifi-step", "--controller", "aimd", "--sample-ms", "nan",
+         "--format", "json"],
+        "error: --sample-ms must be finite and > 0 ms, got nan\n",
+    ),
+    "negative_sample_step_under_aimd": (
+        ["simulate", "--scenario", "wifi-step", "--controller", "aimd", "--sample-ms", "-5",
+         "--format", "json"],
+        "error: --sample-ms must be finite and > 0 ms, got -5.0\n",
+    ),
+    "nan_delay_under_aimd": (
+        ["simulate", "--scenario", "wifi-step", "--controller", "aimd", "--delay-ms", "nan",
+         "--format", "json"],
+        "error: --delay-ms must be finite and >= 0 ms, got nan\n",
+    ),
+    "nan_delay_under_fixed": (
+        ["simulate", "--scenario", "wifi-step", "--controller", "fixed:8", "--delay-ms", "nan",
+         "--format", "json"],
+        "error: --delay-ms must be finite and >= 0 ms, got nan\n",
+    ),
     "scenario_without_action": (
         ["scenario"],
         "error: pass --list, --table <name>, or --emit <scenario>\n",
