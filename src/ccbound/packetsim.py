@@ -410,8 +410,8 @@ def _records(result: PacketSimResult) -> Iterator[tuple[float, str, int, float, 
     It replays the loop that also runs each departure as an event, from one
     heap keyed (t, seq), where seq ticks as each event is scheduled: events
     at one instant run in the order they were scheduled.  The paced
-    enqueues are scheduled first.  An enqueue into an empty queue schedules its
-    packet's departure; a dequeue its ACK, one return trip on, then the
+    enqueues are scheduled first.  An enqueue into an empty queue schedules
+    its packet's departure; a dequeue its ACK, one return trip on, then the
     next departure if a packet waits; an ACK the enqueues of its sends, one
     forward delay on.  The k-th dequeue and ACK read the k-th entries of
     their columns; no departure follows the last one delivered.  A sent
