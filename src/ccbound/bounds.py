@@ -83,7 +83,8 @@ def ramp_duration_for_target(c_factor: float, signal_delay: float, target_delay:
             f"target_delay must lie in (0, (c_factor - 1) * signal_delay] = (0, {step_q!r}], got {q!r}"
         )
     if q >= step_q / 2.0:
-        return max(0.0, 2.0 * (d - q / (c - 1.0)))  # clamp rounding dust at the step end
+        # at q = (c-1)*d, q / (c-1) can round an ulp above d: clamp that to 0
+        return max(0.0, 2.0 * (d - q / (c - 1.0)))
     return (c - 1.0) * d * d / (2.0 * q)
 
 

@@ -346,7 +346,12 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     else:
         if args.pre_rate is None or args.post_rate is None:
             raise ValueError("need --c-factor or both --pre-rate and --post-rate")
+        _check_flag("--pre-rate", args.pre_rate, "Mbit/s", zero_ok=False)
+        _check_flag("--post-rate", args.post_rate, "Mbit/s", zero_ok=False)
         c = reduction_factor(args.pre_rate * MBPS, args.post_rate * MBPS)
+    _check_flag("--delay-ms", args.delay_ms, "ms", zero_ok=True)
+    if args.ramp_ms is not None:
+        _check_flag("--ramp-ms", args.ramp_ms, "ms", zero_ok=True)
     d = args.delay_ms * MS
     if args.ramp_ms is None:
         q = peak_delay_step(c, d)
@@ -412,12 +417,14 @@ def _check_aimd_flags(args: argparse.Namespace) -> None:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     _check_aimd_flags(args)
-    # checked whenever given, under every controller: aimd reads neither
-    # value, and the JSON envelope echoes both
+    # checked whenever given, under every controller: aimd reads none of
+    # these values, and the JSON envelope echoes them
     if args.sample_ms is not None:
         _check_flag("--sample-ms", args.sample_ms, "ms", zero_ok=False)
     if args.delay_ms is not None:
         _check_flag("--delay-ms", args.delay_ms, "ms", zero_ok=True)
+    if args.horizon_ms is not None:
+        _check_flag("--horizon-ms", args.horizon_ms, "ms", zero_ok=False)
     trace = _load_trace(args)
     sim_horizon = None if args.horizon_ms is None else args.horizon_ms * MS
     if args.controller == "aimd":
@@ -527,6 +534,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         else:
             if args.delay_ms is None:
                 raise ValueError("--ramp-list-ms needs the fixed --delay-ms")
+            _check_flag("--delay-ms", args.delay_ms, "ms", zero_ok=True)
             rs = [x * MS for x in _parse_float_list(args.ramp_list_ms, "--ramp-list-ms")]
             grid = sweep(cs, d_ramp_values=rs, signal_delay=args.delay_ms * MS)
     if args.self_test:
@@ -557,7 +565,11 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    horizon = None if args.horizon_ms is None else args.horizon_ms * MS
+    horizon = None
+    if args.horizon_ms is not None:
+        # a horizon of 0 passes: the trace refuses it, with exit 3
+        _check_flag("--horizon-ms", args.horizon_ms, "ms", zero_ok=True)
+        horizon = args.horizon_ms * MS
     _emit((trace_to_csv(trace_from_csv(_read_text(args.path), horizon=horizon)),), args.out)
     return EXIT_OK
 

@@ -46,8 +46,11 @@ __all__ = [
 # anything is allocated.
 MAX_SAMPLES = 1_000_000
 
-# Sender/capacity differences below this relative level are floating-point
-# dust from interpolating the same breakpoints, not a real rate mismatch.
+# A sender/capacity difference f within this share of the cell's top rate
+# is taken as zero.  At a cell start f subtracts rates interpolated from
+# breakpoints, a few ulp off (at most 1.9e-16 of the top rate over 5,000
+# solver_cases draws); at a flip inside a cell it is recomputed there, off
+# by the slope times the flip's rounding (up to 9.6e-13).
 _RATE_NOISE = 1e-12
 
 
@@ -175,36 +178,30 @@ def sender_rate_trace(config: SimConfig) -> CapacityTrace:
 
 def _piece_value(t0: float, q0: float, q1: float, q2: float, t: float) -> float:
     """Backlog at ``t`` of the piece q0 + q1*dt + q2*dt^2, dt = t - t0,
-    clamped at zero."""
+    clamped at zero: where a piece comes back to zero at ``t`` with no
+    crossing before it (tangent to zero at a cell end), q0 and the rounded
+    (q1 + q2*dt)*dt cancel to an ulp or so of q0 below zero."""
     dt = t - t0
     v = q0 + (q1 + q2 * dt) * dt
     return v if v > 0.0 else 0.0
 
 
-def _piece_vertex(length: float, q1: float, q2: float) -> float | None:
-    """Offset from the piece's start of its backlog maximum when that lies
-    strictly inside the piece, else None."""
-    if q2 < 0.0:
-        dtv = -q1 / (2.0 * q2)
-        if 0.0 < dtv < length:
-            return dtv
-    return None
-
-
-def _piece_max(
-    t0: float, t1: float, q0: float, q1: float, q2: float, dtv: float | None
-) -> tuple[float, float]:
-    """(backlog, time) of the piece's maximum on [t0, t1], given its
-    ``_piece_vertex``; earliest time wins ties."""
+def _piece_max(t0: float, t1: float, q0: float, q1: float, q2: float) -> tuple[float, float, float | None]:
+    """(backlog, time, vertex offset) of the piece's maximum on [t0, t1] over
+    its start, its end and, for a concave piece, a vertex strictly inside,
+    whose offset from t0 comes back too (else None); the earliest wins ties."""
     best_v, best_t = q0, t0
-    if dtv is not None:
+    dtv = -q1 / (2.0 * q2) if q2 < 0.0 else 0.0
+    if 0.0 < dtv < t1 - t0:
         vv = q0 + (q1 + q2 * dtv) * dtv
         if vv > best_v:
             best_v, best_t = vv, t0 + dtv
+    else:
+        dtv = None
     end_v = _piece_value(t0, q0, q1, q2, t1)
     if end_v > best_v:
         best_v, best_t = end_v, t1
-    return best_v, best_t
+    return best_v, best_t, dtv
 
 
 @dataclass(frozen=True)
@@ -222,8 +219,7 @@ class BacklogSegment:
 
     def max_on_segment(self) -> tuple[float, float]:
         """(backlog, time) of the segment maximum; earliest time wins ties."""
-        dtv = _piece_vertex(self.t_end - self.t_start, self.c1, self.c2)
-        return _piece_max(self.t_start, self.t_end, self.c0, self.c1, self.c2, dtv)
+        return _piece_max(self.t_start, self.t_end, self.c0, self.c1, self.c2)[:2]
 
 
 @dataclass(frozen=True)
@@ -284,11 +280,8 @@ def _first_zero_crossing(q0: float, q1: float, q2: float, length: float) -> floa
     """Smallest x in (0, length] where q0 + q1*x + q2*x^2 crosses zero from
     above (derivative negative there); None if the backlog stays positive."""
     if q2 == 0.0:
-        if q1 < 0.0 and q0 > 0.0:
-            x = -q0 / q1
-            if 0.0 < x <= length and q1 + 2.0 * q2 * x < 0.0:
-                return x
-        return None
+        x = -q0 / q1 if q1 < 0.0 and q0 > 0.0 else 0.0
+        return x if 0.0 < x <= length else None
     disc = q1 * q1 - 4.0 * q2 * q0
     if not disc >= 0.0:
         return None
@@ -357,9 +350,7 @@ def simulate_fluid(config: SimConfig) -> FluidResult:
                 root = _first_zero_crossing(q0, q1, q2, length)
                 if root is None:
                     end = v
-                    b += (f_cur + 0.5 * g * length) * length
-                    if b < 0.0:  # crossing missed by rounding only
-                        b = 0.0
+                    b = _piece_value(cur, q0, q1, q2, v)
                 else:
                     end = min(cur + root, v)
                     b = 0.0
@@ -376,11 +367,10 @@ def simulate_fluid(config: SimConfig) -> FluidResult:
             q0s.append(q0)
             q1s.append(q1)
             q2s.append(q2)
-            dtv = _piece_vertex(end - cur, q1, q2)
-            val, at = _piece_max(cur, end, q0, q1, q2, dtv)
+            val, at, dtv = _piece_max(cur, end, q0, q1, q2)
             if val > peak_b:  # the earliest maximum wins ties
                 peak_b, peak_t = val, at
-            candidates.append((cur, _piece_value(cur, q0, q1, q2, cur)))
+            candidates.append((cur, q0))
             if dtv is not None:
                 candidates.append((cur + dtv, _piece_value(cur, q0, q1, q2, cur + dtv)))
             bits_out += served.integrate(cur, end)

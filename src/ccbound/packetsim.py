@@ -318,6 +318,8 @@ def simulate_packets(config: PacketSimConfig) -> PacketSimResult:
             cwnd += ai / cwnd
             codes.append(_ACKED)
         windows.append(cwnd)
+        # cwnd sums ai / cwnd steps, each rounded: a window within 1e-9
+        # below a whole number of packets counts as that number
         burst = int(cwnd + 1e-9) - in_flight
         if burst > 0 and t < horizon:
             total = next_pid + burst

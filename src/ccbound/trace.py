@@ -220,13 +220,10 @@ class CapacityTrace:
         query's segment, or whose drain instant C^-1(C(t) + bits) lies in
         the previous drain segment, makes no bisection for that row; a
         1 ms grid over 10 ms rows makes one for about every fifth sample.
-        Any other row is bisected from where the previous query's landed
-        whenever that is at or before the new answer, so every query lands
-        on the row an unseeded bisection finds, whatever the order of the
-        queries.  When ``t`` and the drain instant do not decrease, as along
-        one backlog trajectory, each search covers only the segments passed
-        since the previous query.  Queries are not validated: ``t`` lies in
-        [0, horizon] and ``bits`` is a number.
+        Any other row is bisected afresh, so every query lands on the row
+        an unseeded bisection finds, whatever the order of the queries.
+        Queries are not validated: ``t`` lies in [0, horizon] and ``bits``
+        is a number.
         """
         times, cum, rows = self._times, self._cum, self._rows  # type: ignore[attr-defined]
         n, total, sqrt = len(times), cum[-1], math.sqrt
@@ -238,7 +235,7 @@ class CapacityTrace:
                 yield 0.0
                 continue
             if not start <= t < end:
-                i = bisect_right(times, t, i if start <= t else 0) - 1
+                i = bisect_right(times, t) - 1
                 own = rows[i]
                 start, end, rate, slope, _ = own
             # _area(own, t, end), its operations in order: the same bits
@@ -255,11 +252,14 @@ class CapacityTrace:
                 # row at or before t's has high <= cum[i + 1] <= target, and a
                 # run of equal cum entries fails the strict test: both bisect
                 if not low <= target < high:
-                    j = bisect_right(cum, target, j if i < j and low <= target else i + 1, n) - 1
+                    j = bisect_right(cum, target, i + 1, n) - 1
                     drain, low, high = rows[j], cum[j], cum[j + 1]
                 row, at, rest = drain, drain[0], target - low
             # the instant the segment of row has served rest bits counted from
-            # at: one stable quadratic root, clamped to the segment's end
+            # at: one stable quadratic root.  disc, the rate there squared, is
+            # a difference of two terms each rounded to half an ulp of v0**2:
+            # on a fall to a tiny rate it can come out negative (-16 where
+            # v0**2 is 9e16), and the root can pass the row's end; both are clamped
             seg_start, seg_end, v0, k, _ = row
             v0 += k * (at - seg_start)
             disc = v0 * v0 + 2.0 * k * rest
@@ -401,15 +401,15 @@ _ROW_FIELDS = 3
 def trace_from_csv(text: str, horizon: float | None = None) -> CapacityTrace:
     """Parse ``time_s,rate_bps,mode`` rows (header optional) into a trace.
 
-    The final row's time defines the horizon unless one is given
-    explicitly.  Malformed data raises :class:`TraceParseError`, which
-    names the 1-based line of the row at fault; an input without rows or a
-    horizon of 0 or before the last row names none.  A bad explicit
-    ``horizon`` raises a plain ValueError.
+    One leading byte-order mark is skipped.  The final row's time defines
+    the horizon unless one is given explicitly.  Malformed data raises
+    :class:`TraceParseError`, which names the 1-based line of the row at
+    fault; an input without rows or a horizon of 0 or before the last row
+    names none.  A bad explicit ``horizon`` raises a plain ValueError.
     """
     bps: list[Breakpoint] = []
     header_allowed = True
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue

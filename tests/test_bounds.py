@@ -124,6 +124,13 @@ class TestInverse:
     def test_full_target_means_step(self):
         assert ramp_duration_for_target(10.0, 0.1, 0.9) == pytest.approx(0.0, abs=1e-15)
 
+    def test_full_target_clamps_rounding_below_zero(self):
+        # q / (c - 1) rounds to an ulp above d, so 2 (d - q / (c - 1)) < 0
+        c, d = 84.15681028674481, 0.9446866269984266
+        q = (c - 1.0) * d
+        assert 2.0 * (d - q / (c - 1.0)) == -2.220446049250313e-16
+        assert ramp_duration_for_target(c, d, q) == 0.0
+
     def test_half_target_means_ramp_equal_delay(self):
         assert ramp_duration_for_target(10.0, 0.1, 0.45) == pytest.approx(0.1, rel=1e-12)
 

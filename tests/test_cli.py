@@ -867,6 +867,41 @@ USAGE_ERRORS = {
          "--format", "json"],
         "error: --delay-ms must be finite and >= 0 ms, got nan\n",
     ),
+    # each flag is checked in the units it was typed in, so the message
+    # names the flag and the value as given
+    "negative_horizon_under_fixed": (
+        ["simulate", "--scenario", "wifi-step", "--controller", "fixed:8", "--horizon-ms", "-5"],
+        "error: --horizon-ms must be finite and > 0 ms, got -5.0\n",
+    ),
+    "zero_horizon_under_oracle": (
+        ["simulate", "--scenario", "wifi-step", "--controller", "oracle-final", "--delay-ms", "10",
+         "--horizon-ms", "0"],
+        "error: --horizon-ms must be finite and > 0 ms, got 0.0\n",
+    ),
+    "negative_ingest_horizon": (
+        ["ingest", "trace.csv", "--horizon-ms", "-5"],
+        "error: --horizon-ms must be finite and >= 0 ms, got -5.0\n",
+    ),
+    "negative_bound_delay": (
+        ["bound", "--c-factor", "10", "--delay-ms", "-5"],
+        "error: --delay-ms must be finite and >= 0 ms, got -5.0\n",
+    ),
+    "negative_bound_ramp": (
+        ["bound", "--c-factor", "10", "--delay-ms", "17", "--ramp-ms", "-5"],
+        "error: --ramp-ms must be finite and >= 0 ms, got -5.0\n",
+    ),
+    "negative_pre_rate": (
+        ["bound", "--pre-rate", "-1", "--post-rate", "1", "--delay-ms", "1"],
+        "error: --pre-rate must be finite and > 0 Mbit/s, got -1.0\n",
+    ),
+    "nan_post_rate": (
+        ["bound", "--pre-rate", "10", "--post-rate", "nan", "--delay-ms", "1"],
+        "error: --post-rate must be finite and > 0 Mbit/s, got nan\n",
+    ),
+    "negative_ramp_sweep_delay": (
+        ["sweep", "--c-list", "2", "--delay-ms", "-5", "--ramp-list-ms", "10"],
+        "error: --delay-ms must be finite and >= 0 ms, got -5.0\n",
+    ),
     "scenario_without_action": (
         ["scenario"],
         "error: pass --list, --table <name>, or --emit <scenario>\n",

@@ -410,6 +410,59 @@ class TestSolverInvariants:
         assert len(segs) <= 8 * (len(cuts) - 1)
 
 
+class TestRoundingGuards:
+    """Each rounding guard of the solver on an input that takes it: the raw
+    value the guard corrects, recomputed as the solver computes it, and the
+    corrected output."""
+
+    def test_backlog_clamp_where_a_ramp_drains_the_queue_at_its_end(self):
+        # the sender fills the queue over the first hold, and the ramp that
+        # falls to the sender's rate drains it to zero at the ramp's end: a
+        # busy piece with no crossing, ending one ulp of its backlog below 0
+        rate = 10026806.553005092
+        bps = (
+            Breakpoint(0.0, 3906739.1744284793),
+            Breakpoint(0.9221828262566465, 22471213.525976375, SegmentMode.LINEAR),
+            Breakpoint(1.8292282233278003, rate),
+            Breakpoint(2.8292282233278003, rate),
+        )
+        result = simulate_fluid(SimConfig(CapacityTrace(bps, 2.8292282233278003), FixedRate(rate)))
+        fill, ramp, after = result.segments
+        dt = ramp.t_end - ramp.t_start
+        assert ramp.c0 + (ramp.c1 + ramp.c2 * dt) * dt == -9.313225746154785e-10
+        assert ramp.value_at(ramp.t_end) == 0.0 == after.c0
+        assert ramp.max_on_segment() == (ramp.c0, ramp.t_start)
+
+    def test_noise_snap_where_the_queue_starts_inside_a_cell(self):
+        # the capacity falls through the sender's 2e3 bit/s; the rate
+        # difference recomputed where the queue starts is 1.2e-16 of the
+        # cell's top rate, and the busy piece starts with slope 0
+        trace = CapacityTrace((Breakpoint(0.0, 1e9, SegmentMode.LINEAR), Breakpoint(3.0, 1e3)), 4.0)
+        result = simulate_fluid(SimConfig(trace, FixedRate(2e3)))
+        idle, busy, _ = result.segments
+        g = ((2e3 - 2e3) - (1e3 - 1e9)) / 3.0
+        f = (2e3 - 1e9) + g * (busy.t_start - 0.0)
+        assert f == 1.1920928955078125e-07 <= fluid._RATE_NOISE * 1e9
+        assert (idle.c0, idle.c1, idle.c2) == (0.0, 0.0, 0.0)
+        assert (busy.c0, busy.c1) == (0.0, 0.0)
+
+    def test_one_ulp_piece_where_an_idle_stretch_rounds_away(self):
+        # in the cell of the last ramp the queue is idle at cur, and the
+        # instant the arrivals overtake the capacity rounds onto cur
+        config = REPRO_OVERLOAD_IDLED
+        u, v = 100.00313863682054, 100.00443168119203
+        a, c0, c1 = config.controller.rate, config.trace.capacity_at(u), config.trace.left_limit_at(v)
+        g = ((a - a) - (c1 - c0)) / (v - u)
+        result = simulate_fluid(config)
+        pieces = [s for s in result.segments if u < s.t_start < v]
+        one_ulp = [s for s in pieces if s.t_end == math.nextafter(s.t_start, v)]
+        assert len(one_ulp) == 1
+        cur = one_ulp[0].t_start
+        f = (a - c0) + g * (cur - u)
+        assert f < 0.0 < g and cur - f / g == cur
+        assert (one_ulp[0].c0, one_ulp[0].c1, one_ulp[0].c2) == (0.0, 0.0, 0.0)
+
+
 class TestRecoveryAndMultiEvent:
     def test_queue_drains_through_capacity_recovery(self):
         # capacity comes back up: the backlog must hit zero inside a segment

@@ -72,6 +72,17 @@ class TestBasics:
         assert result.packets_sent == 0
         assert not result.congestion_reached
 
+    def test_a_window_short_of_a_packet_by_rounding_counts_it(self):
+        # the first ACK adds 9.9999999995 / 10 to a window of 10: 5e-11 short
+        # of 11, within the guard's 1e-9, so the ACK sends two packets
+        trace = CapacityTrace((Breakpoint(0.0, 1e8),), 0.5)
+        config = PacketSimConfig(trace, aimd=AimdParams(9.9999999995, 0.5), initial_window=10,
+                                 mark_threshold=1.0)
+        result = simulate_packets(config)
+        cwnd = result._windows[0]
+        assert cwnd == 10.0 + 9.9999999995 / 10.0 and int(cwnd) == 10
+        assert result._sends[0] == 2
+
     def test_underloaded_run_flagged_no_congestion(self):
         # two packets on a fat constant link never wait behind each other
         trace = CapacityTrace((Breakpoint(0.0, 1e8),), 2.0)

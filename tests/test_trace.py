@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import io
 import math
 import pickle
+import sys
 from bisect import bisect_right
 from decimal import Decimal
 from fractions import Fraction
@@ -610,6 +612,32 @@ class TestCumulativeCurve:
             t.drain_time(1.0, math.nan)
 
 
+class TestDrainClamps:
+    """Each clamp of drain_times on an input that takes it: the raw value,
+    computed as drain_times computes it, is out of range, and the answer is
+    the clamped one.  On both inputs the bits asked for are the whole area
+    of a steep ramp's row, so they end on the row's end."""
+
+    def test_negative_discriminant_is_clamped(self):
+        # the discriminant is the end rate squared, 2e-7, but the rates
+        # squared at the start are 9e16 and cancel to -16
+        end = 2.6100289872389424
+        rows = (Breakpoint(0.0, 301966391.85619664, "linear"), Breakpoint(end, 0.0004634779939054376))
+        trace = CapacityTrace(rows, end + 1.0)
+        bits = trace.integrate(0.0, end)
+        _, _, v0, slope, _ = trace._rows[0]
+        assert v0 * v0 + 2.0 * slope * bits == -16.0
+        assert trace.drain_time(0.0, bits) == end
+
+    def test_root_past_the_row_end_is_clamped(self):
+        trace = trace_from_csv("0,1e8,linear\n1,1e-2,hold\n2,1e-2,hold\n")
+        bits = trace.integrate(0.0, 1.0)
+        _, end, v0, slope, _ = trace._rows[0]
+        disc = v0 * v0 + 2.0 * slope * bits
+        assert 2.0 * bits / (v0 + math.sqrt(max(disc, 0.0))) == 1.0000000001
+        assert trace.drain_time(0.0, bits) == end == 1.0
+
+
 class TestDetectEvents:
     def test_purely_increasing_yields_nothing(self):
         t = CapacityTrace((Breakpoint(0.0, 1e7), Breakpoint(1.0, 1e8)), 2.0)
@@ -763,6 +791,23 @@ class TestCsv:
         with_header = "time_s,rate_bps,mode\n0,1e8,hold\n1,1e7,hold\n"
         without = "0,1e8,hold\n1,1e7,hold\n"
         assert trace_from_csv(with_header) == trace_from_csv(without)
+
+    @pytest.mark.parametrize("text", ["time_s,rate_bps,mode\n0,1e8,hold\n1,1e7,hold\n",
+                                      "0,1e8,hold\n1,1e7,hold\n"])
+    def test_a_byte_order_mark_is_skipped(self, text, tmp_path, capsys, monkeypatch):
+        # as spreadsheet tools save a CSV, with the header and without
+        assert trace_from_csv("\ufeff" + text) == trace_from_csv(text)
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert main(["ingest", str(plain)]) == 0
+        expected = capsys.readouterr()
+        assert main(["ingest", str(marked)]) == 0
+        assert capsys.readouterr() == expected
+        monkeypatch.setattr(sys, "stdin", io.StringIO("\ufeff" + text))
+        assert main(["ingest", "-"]) == 0
+        assert capsys.readouterr() == expected
 
     def test_horizon_defaults_to_last_row(self):
         t = trace_from_csv("0,1e8,hold\n1,1e7,hold\n4,1e7,hold\n")
