@@ -20,7 +20,8 @@ pytest, and takes well under a minute.  Every float is hashed by
   traces; a tangent trace fills a queue that a ramp then drains to zero
   just at its end, where the solver clamps the backlog at zero.
 - ``packet``: ``event_log_to_csv``, the result's scalar fields and the
-  bound comparison of seeded AIMD runs.
+  bound comparison of seeded AIMD runs, and the log of a run whose window
+  the ``int(cwnd + 1e-9)`` guard rounds up to a whole packet.
 """
 
 from __future__ import annotations
@@ -229,6 +230,11 @@ def fluid_digest(rng: random.Random) -> tuple[str, int]:
 
 def packet_digest(rng: random.Random) -> tuple[str, int]:
     h = hashlib.sha256()
+    # a window 5e-11 short of 11 packets after the first ACK, which the
+    # window guard counts as 11
+    short = PacketSimConfig(CapacityTrace((Breakpoint(0.0, 1e8),), 0.5),
+                            aimd=AimdParams(9.9999999995, 0.5), initial_window=10, mark_threshold=1.0)
+    h.update(event_log_to_csv(simulate_packets(short)).encode())
     for case in range(PACKET_CASES):
         pre = log_uniform(rng, 5e6, 3e7)
         post = pre / log_uniform(rng, 1.5, 10.0)
@@ -255,7 +261,7 @@ def packet_digest(rng: random.Random) -> tuple[str, int]:
             feed(h, str(exc))
             continue
         feed(h, [cmp.bound, cmp.measured_peak, cmp.ratio, cmp.slack, cmp.violation])
-    return h.hexdigest(), PACKET_CASES
+    return h.hexdigest(), PACKET_CASES + 1
 
 
 def main() -> int:
