@@ -22,16 +22,33 @@ pytest, and takes well under a minute.  Every float is hashed by
 - ``packet``: ``event_log_to_csv``, the result's scalar fields and the
   bound comparison of seeded AIMD runs, and the log of a run whose window
   the ``int(cwnd + 1e-9)`` guard rounds up to a whole packet.
+- ``cli``: the exit code, stdout and stderr of ``cli.main`` run in
+  process: fluid CSV and JSON series at ``--sample-ms 1`` on 1,000-4,000
+  breakpoint traces under the three fluid controllers, an aimd JSON run
+  with every aimd flag off its default, ``bound`` from two rates with
+  ``--debug-echo``, ramp sweeps, ``scenario --emit`` with every scenario
+  key, and the event log alone of an aimd ``--log-out`` run.  Traces go in
+  through ``--trace -``, so no path is echoed.  The layer draws from its
+  own generator, so it leaves the other layers' digests as they were.
+
+``tests/test_output_digest.py`` compares each layer's digest with the
+committed ``tests/output_digests.json``.  A refactor never re-records it; a
+change of model re-records the layers it moves and says why.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import math
+import os
 import random
 import sys
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
+from ccbound import cli
 from ccbound.fluid import (
     FixedRate,
     ModelViolationError,
@@ -264,13 +281,99 @@ def packet_digest(rng: random.Random) -> tuple[str, int]:
     return h.hexdigest(), PACKET_CASES + 1
 
 
-def main() -> int:
+def walk_csv(rng: random.Random, n: int) -> str:
+    """The CSV of ``n`` breakpoints 0.5-1.5 ms apart whose rate walks by
+    factors of 0.8-1.25 between 1 and 100 Mbit/s, each hold or linear."""
+    t, rate, lines = 0.0, log_uniform(rng, 1e6, 1e8), []
+    for k in range(n):
+        mode = "hold" if k == n - 1 else rng.choice(("hold", "linear"))
+        lines.append(f"{t!r},{rate!r},{mode}\n")
+        t += rng.uniform(5e-4, 1.5e-3)
+        rate = min(1e8, max(1e6, rate * rng.uniform(0.8, 1.25)))
+    return "".join(lines)
+
+
+def run_cli(argv: list[str], stdin: str = "") -> tuple[int, str, str]:
+    """``cli.main(argv)`` in process with ``stdin`` as its standard input:
+    its exit code, stdout and stderr."""
+    out, err, saved = io.StringIO(), io.StringIO(), sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+STEP_CSV = "0,12000000,hold\n0.3,1200000,linear\n0.35,3000000,hold\n0.8,3000000,hold\n"
+AIMD_FLAGS = [
+    "--controller", "aimd", "--packet-bytes", "1200", "--fwd-ms", "1.5", "--xb-ms", "6.3",
+    "--rev-ms", "7.1", "--ai", "1.5", "--md", "0.7", "--mark-threshold-ms", "15.7",
+    "--initial-window", "7", "--seed", "3",
+]
+SCENARIO_PARAMS = {
+    "wifi-step": ["pre_mbps=54.3", "post_mbps=6.1", "onset_ms=15.7", "horizon_ms=62.8"],
+    "wifi-mcs-walk": ["rates_mbps=866.7:144.4:14.4:1.1", "dwell_ms=15.7"],
+    "ramp-contention": ["pre_mbps=54.3", "c_factor=7.7", "onset_ms=15.7", "ramp_ms=62.8",
+                        "horizon_ms=100.1"],
+}
+
+
+def cli_digest(rng: random.Random) -> tuple[str, int]:
+    h = hashlib.sha256()
+    runs: list[tuple[list[str], str]] = []
+    for n in (1000, 4000):
+        trace = walk_csv(rng, n)
+        for controller in ("oracle-final", "oracle-tracking", f"fixed:{log_uniform(rng, 1.0, 100.0)!r}"):
+            flags = ["--delay-ms", "0.3" if controller == "oracle-final" else "15.7"]
+            if controller.startswith("fixed:"):
+                flags += ["--horizon-ms", "777.7"]
+            for fmt in ("csv", "json"):
+                runs.append((["simulate", "--trace", "-", "--controller", controller, *flags,
+                              "--sample-ms", "1", "--format", fmt], trace))
+        runs.append((["ingest", "-", "--horizon-ms", "5000.3"], trace))
+    runs.append((["simulate", "--trace", "-", *AIMD_FLAGS, "--sample-ms", "1"], STEP_CSV))
+    for _ in range(4):
+        pre = log_uniform(rng, 1.0, 1000.0)
+        post, delay, ramp = pre / log_uniform(rng, 1.0, 100.0), rng.uniform(0, 100), rng.uniform(0, 200)
+        for fmt in ("json", "csv"):
+            runs.append((["bound", "--pre-rate", repr(pre), "--post-rate", repr(post), "--delay-ms",
+                          repr(delay), "--ramp-ms", repr(ramp), "--debug-echo", "--format", fmt], ""))
+    ramps = ",".join(repr(rng.uniform(0.0, 300.0)) for _ in range(40))
+    for fmt in ("csv", "json"):
+        runs.append((["sweep", "--c-list", "1,2,5.5,10", "--delay-ms", "15.7", "--ramp-list-ms", ramps,
+                      "--self-test", "--format", fmt], ""))
+    for name, params in SCENARIO_PARAMS.items():
+        runs.append((["scenario", "--emit", name,
+                      *(arg for p in params for arg in ("--scenario-param", p))], ""))
+    for argv, stdin in runs:
+        feed(h, run_cli(argv, stdin))
+    # the envelope echoes the log's temporary path: only the log is hashed
+    with tempfile.TemporaryDirectory() as tmp:
+        log = os.path.join(tmp, "events.csv")
+        run_cli(["simulate", "--trace", "-", *AIMD_FLAGS, "--log-out", log], STEP_CSV)
+        with open(log, "rb") as fh:
+            h.update(fh.read())
+    return h.hexdigest(), len(runs) + 1
+
+
+def digests() -> dict[str, tuple[str, int]]:
+    """Each layer's digest and count of queries or runs, by name."""
     rng = random.Random(SEED)
-    for name, layer in (("trace", trace_digest), ("fluid", fluid_digest), ("packet", packet_digest)):
+    layers = (("trace", trace_digest, rng), ("fluid", fluid_digest, rng),
+              ("packet", packet_digest, rng), ("cli", cli_digest, random.Random(SEED)))
+    out = {}
+    for name, layer, gen in layers:
         start = time.perf_counter()
-        digest, count = layer(rng)
-        print(f"{name} {digest} ({count} {'queries' if name == 'trace' else 'runs'})")
+        out[name] = layer(gen)
         print(f"  {name} took {time.perf_counter() - start:.1f} s", file=sys.stderr)
+    return out
+
+
+def main() -> int:
+    for name, (digest, count) in digests().items():
+        print(f"{name} {digest} ({count} {'queries' if name == 'trace' else 'runs'})")
     return 0
 
 
