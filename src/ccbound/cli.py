@@ -1,8 +1,9 @@
 """Command-line front end: bounds, simulations, sweeps, scenario data, and
 trace ingestion, emitting plot-ready CSV or JSON.
 
-Flags use milliseconds and Mbit/s; conversion to the library's internal
-seconds and bit/s happens here and only here.  Results are built in SI with
+Flags use milliseconds and Mbit/s; they become the library's seconds and
+bit/s here and only here, through one flag table (``_FLAGS``) that checks
+each value in the units it was typed in.  Results are built in SI with
 each key's unit as its suffix and converted on output through one table,
 ``_s`` -> ``_ms`` and ``_bps`` -> ``_mbps``.  Every table of rows (a CSV,
 a simulate run's JSON series and its summary's events) is written by one
@@ -47,6 +48,7 @@ from .scenarios import (
     dublin_ny_table,
     scenario_description,
     scenario_names,
+    scenario_params,
     scenario_trace,
     wifi_rates,
 )
@@ -74,15 +76,52 @@ _JSON_SERIES = {**_JSON_SCALARS, "nan": "null"}
 # Rows formatted and written per piece of output: bounds the text held at once.
 _BLOCK = 8192
 
-# CLI-side scenario parameter names (boundary units) -> library kwargs (SI).
-_SCENARIO_KEY_MAP = {
-    "pre_mbps": ("pre_rate", MBPS),
-    "post_mbps": ("post_rate", MBPS),
-    "onset_ms": ("onset", MS),
-    "horizon_ms": ("horizon", MS),
-    "ramp_ms": ("ramp_duration", MS),
-    "dwell_ms": ("dwell", MS),
-    "c_factor": ("c_factor", 1.0),
+# One row per numeric input, keyed by its argparse dest: the flag as typed,
+# its unit, its scale to SI and its domain (the library check it fronts).  A
+# list flag's row holds for each item; "fixed" is the number in fixed:<Mbit/s>;
+# a --scenario-param key's row also names the scenario keyword it sets.  Every
+# value given is checked against its row under every command and controller,
+# then echoed.  One per-command difference: ingest's zero horizon passes, for
+# the trace to refuse with exit 3.
+_FLAGS = {
+    "c_factor": ("--c-factor", "", 1.0, ">= 1"),
+    "pre_rate": ("--pre-rate", "Mbit/s", MBPS, "> 0"),
+    "post_rate": ("--post-rate", "Mbit/s", MBPS, "> 0"),
+    "delay_ms": ("--delay-ms", "ms", MS, ">= 0"),
+    "ramp_ms": ("--ramp-ms", "ms", MS, ">= 0"),
+    "sample_ms": ("--sample-ms", "ms", MS, "> 0"),
+    "horizon_ms": ("--horizon-ms", "ms", MS, "> 0"),
+    "ingest_horizon_ms": ("--horizon-ms", "ms", MS, ">= 0"),
+    "packet_bytes": ("--packet-bytes", "bytes", 8.0, "> 0"),  # to bits
+    "fwd_ms": ("--fwd-ms", "ms", MS, ">= 0"),
+    "xb_ms": ("--xb-ms", "ms", MS, ">= 0"),
+    "rev_ms": ("--rev-ms", "ms", MS, ">= 0"),
+    "ai": ("--ai", "packets per round trip", 1.0, "> 0"),
+    "md": ("--md", "", 1.0, "(0, 1)"),
+    "mark_threshold_ms": ("--mark-threshold-ms", "ms", MS, ">= 0"),
+    "initial_window": ("--initial-window", "packets", 1, "whole >= 0"),
+    "c_list": ("--c-list", "", 1.0, ">= 1"),
+    "delay_list_ms": ("--delay-list-ms", "ms", MS, ">= 0"),
+    "ramp_list_ms": ("--ramp-list-ms", "ms", MS, ">= 0"),
+    "fixed": ("--controller fixed:<Mbit/s>", "Mbit/s", MBPS, "> 0"),
+    "scenario_param.pre_mbps": ("--scenario-param pre_mbps", "Mbit/s", MBPS, "> 0", "pre_rate"),
+    "scenario_param.post_mbps": ("--scenario-param post_mbps", "Mbit/s", MBPS, "> 0", "post_rate"),
+    "scenario_param.rates_mbps": ("--scenario-param rates_mbps", "Mbit/s", MBPS, "> 0", "rates"),
+    "scenario_param.onset_ms": ("--scenario-param onset_ms", "ms", MS, "> 0", "onset"),
+    "scenario_param.horizon_ms": ("--scenario-param horizon_ms", "ms", MS, "> 0", "horizon"),
+    "scenario_param.ramp_ms": ("--scenario-param ramp_ms", "ms", MS, ">= 0", "ramp_duration"),
+    "scenario_param.dwell_ms": ("--scenario-param dwell_ms", "ms", MS, "> 0", "dwell"),
+    "scenario_param.c_factor": ("--scenario-param c_factor", "", 1.0, "> 1", "c_factor"),
+}
+
+# Each domain's test and its wording in a message.
+_DOMAINS = {
+    "> 0": (lambda v: math.isfinite(v) and v > 0.0, "be finite and > 0"),
+    ">= 0": (lambda v: math.isfinite(v) and v >= 0.0, "be finite and >= 0"),
+    "> 1": (lambda v: math.isfinite(v) and v > 1.0, "be finite and > 1"),
+    ">= 1": (lambda v: math.isfinite(v) and v >= 1.0, "be finite and >= 1"),
+    "(0, 1)": (lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
+    "whole >= 0": (lambda v: v >= 0, "be >= 0"),  # argparse parsed it as an int
 }
 
 
@@ -95,14 +134,10 @@ def _emit(pieces: Iterable[str], out: str | None) -> None:
         sys.stdout.writelines(pieces)
 
 
-def _echo_params(args: argparse.Namespace) -> dict:
-    return {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "out", "format")}
-
-
 def _envelope(command: str, args: argparse.Namespace, results: dict) -> str:
     doc = {
         "command": command,
-        "params": _echo_params(args),
+        "params": {k: v for k, v in vars(args).items() if k not in ("func", "out", "format")},
         "results": results,
         "units": UNITS,
         "version": __version__,
@@ -287,37 +322,53 @@ def _write_run(args: argparse.Namespace, summary: dict, columns: tuple[str, ...]
     return EXIT_OK
 
 
-def _parse_float_list(text: str, flag: str) -> list[float]:
-    items = [part.strip() for part in text.split(",") if part.strip()]
-    if not items:
-        raise ValueError(f"{flag} must list at least one value")
-    try:
-        return [float(x) for x in items]
-    except ValueError:
-        raise ValueError(f"{flag} contains a malformed number: {text!r}") from None
+def _si(key: str, typed: float | str, sep: str | None = None) -> float | list[float]:
+    """``typed`` checked against the row ``key`` of ``_FLAGS`` and scaled to
+    SI.  ``typed`` is a number as argparse parsed it, or text as typed: one
+    number, or with ``sep`` a list of numbers, returned as a list."""
+    flag, unit, scale, domain = _FLAGS[key][:4]
+    values, listed = [typed], isinstance(typed, str) and sep is not None
+    if isinstance(typed, str):
+        items = [x.strip() for x in typed.split(sep) if x.strip()] if listed else [typed]
+        if not items:
+            raise ValueError(f"{flag} must list at least one value")
+        try:
+            values = [float(x) for x in items]
+        except ValueError:
+            raise ValueError(f"{flag} contains a malformed number: {typed!r}") from None
+    test, wording = _DOMAINS[domain]
+    for value in values:
+        if not test(value):
+            raise ValueError(f"{flag} must {wording} {unit}".rstrip() + f", got {value!r}")
+    return [v * scale for v in values] if listed else values[0] * scale
 
 
-def _scenario_params(pairs: list[str]) -> dict:
-    params: dict = {}
-    for pair in pairs:
-        key, sep, val = pair.partition("=")
+def _given(args: argparse.Namespace) -> dict:
+    """Every numeric flag given in ``args``, by dest, checked against its row
+    and in SI; a text flag is a comma-separated list."""
+    return {k: _si(k, v, ",") for k, v in vars(args).items() if k in _FLAGS and v is not None}
+
+
+def _scenario(name: str, pairs: list[str] | None):
+    """The trace of the scenario ``name``, built with the ``--scenario-param``
+    ``pairs``, each checked against its row and set in SI."""
+    rows = {k.partition(".")[2]: k for k in _FLAGS if k.startswith("scenario_param.")}
+    kwargs: dict = {}
+    for pair in pairs or ():
+        key, sep, typed = pair.partition("=")
         key = key.strip()
         if not sep or not key:
             raise ValueError(f"scenario parameter must look like key=value, got {pair!r}")
-        if key != "rates_mbps" and key not in _SCENARIO_KEY_MAP:
-            known = ", ".join(sorted(_SCENARIO_KEY_MAP) + ["rates_mbps"])
+        if key not in rows:
+            known = ", ".join(sorted(rows))
             raise ValueError(f"unknown scenario parameter {key!r}; known: {known}")
-        try:
-            if key == "rates_mbps":
-                params["rates"] = tuple(float(x) * MBPS for x in val.split(":") if x.strip())
-            else:
-                dest, scale = _SCENARIO_KEY_MAP[key]
-                params[dest] = float(val) * scale
-        except ValueError:
+        value = _si(rows[key], typed, ":" if key == "rates_mbps" else None)
+        takes = sorted(k for k, row in rows.items() if _FLAGS[row][4] in scenario_params(name))
+        if key not in takes:
             raise ValueError(
-                f"--scenario-param {key} contains a malformed number: {val!r}"
-            ) from None
-    return params
+                f"scenario {name!r} takes no parameter {key!r}; it takes {', '.join(takes)}")
+        kwargs[_FLAGS[rows[key]][4]] = value
+    return scenario_trace(name, **kwargs)
 
 
 def _read_text(path: str) -> str:
@@ -328,45 +379,28 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _load_trace(args: argparse.Namespace):
-    if args.trace is not None and args.scenario is not None:
-        raise ValueError("pass --trace or --scenario, not both")
-    if args.trace is not None:
-        return trace_from_csv(_read_text(args.trace))
-    if args.scenario is not None:
-        return scenario_trace(args.scenario, **_scenario_params(args.scenario_param or []))
-    raise ValueError("need a trace source: --trace <csv path> or --scenario <name>")
+def _unused(flag: str, what: str, mode: str) -> ValueError:
+    """The error for ``flag``, which is ``what``, given to ``mode``."""
+    return ValueError(f"{flag} is {what}; {mode} takes none")
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:
     if args.c_factor is not None:
         if args.pre_rate is not None or args.post_rate is not None:
             raise ValueError("pass either --c-factor or --pre-rate/--post-rate, not both")
-        c = float(args.c_factor)
-    else:
-        if args.pre_rate is None or args.post_rate is None:
-            raise ValueError("need --c-factor or both --pre-rate and --post-rate")
-        _check_flag("--pre-rate", args.pre_rate, "Mbit/s", zero_ok=False)
-        _check_flag("--post-rate", args.post_rate, "Mbit/s", zero_ok=False)
-        c = reduction_factor(args.pre_rate * MBPS, args.post_rate * MBPS)
-    _check_flag("--delay-ms", args.delay_ms, "ms", zero_ok=True)
-    if args.ramp_ms is not None:
-        _check_flag("--ramp-ms", args.ramp_ms, "ms", zero_ok=True)
-    d = args.delay_ms * MS
-    if args.ramp_ms is None:
-        q = peak_delay_step(c, d)
-        branch = "step"
-    else:
-        r = args.ramp_ms * MS
-        q = peak_delay_ramp(c, d, r)
-        branch = "short_ramp" if r <= d else "long_ramp"
+    elif args.pre_rate is None or args.post_rate is None:
+        raise ValueError("need --c-factor or both --pre-rate and --post-rate")
+    si = _given(args)
+    if args.c_factor is None and args.post_rate > args.pre_rate:
+        raise ValueError(f"--post-rate must be <= --pre-rate, got --pre-rate {args.pre_rate!r} "
+                         f"and --post-rate {args.post_rate!r}")
+    c = si["c_factor"] if "c_factor" in si else reduction_factor(si["pre_rate"], si["post_rate"])
+    d, r = si["delay_ms"], si.get("ramp_ms")
+    q = peak_delay_step(c, d) if r is None else peak_delay_ramp(c, d, r)
+    branch = "step" if r is None else "short_ramp" if r <= d else "long_ramp"
     results = _cli_units({"q_s": q, "branch": branch, "c_factor": c})
     if args.debug_echo:  # SI, past the unit table
-        results["internal"] = {
-            "c_factor": c,
-            "signal_delay_s": d,
-            "ramp_duration_s": None if args.ramp_ms is None else args.ramp_ms * MS,
-        }
+        results["internal"] = {"c_factor": c, "signal_delay_s": d, "ramp_duration_s": r}
     if args.format == "csv":  # delay_ms and ramp_ms echo the flags
         columns = ("c_factor", "delay_ms", "ramp_ms", "q_s", "branch")
         values = ([c], [args.delay_ms], [args.ramp_ms], [q], [branch])
@@ -376,90 +410,53 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_fluid_controller(spec: str, delay_ms: float | None):
+def _fluid_controller(spec: str, delay: float | None):
     if spec in ("oracle-final", "oracle-tracking"):
-        if delay_ms is None:
+        if delay is None:
             raise ValueError(f"--delay-ms is required for controller {spec!r}")
-        d = delay_ms * MS
-        return OracleFinal(d) if spec == "oracle-final" else OracleTracking(d)
+        return OracleFinal(delay) if spec == "oracle-final" else OracleTracking(delay)
     if spec.startswith("fixed:"):
-        return FixedRate(float(spec.removeprefix("fixed:")) * MBPS)
-    raise ValueError(
-        f"unknown controller {spec!r} (oracle-final | oracle-tracking | fixed:<Mbit/s> | aimd)"
-    )
-
-
-def _check_flag(flag: str, value: float, unit: str, zero_ok: bool) -> None:
-    """Raise unless ``value`` is finite and > 0, or >= 0 when ``zero_ok``."""
-    if not (math.isfinite(value) and (value >= 0.0 if zero_ok else value > 0.0)):
-        bound = ">=" if zero_ok else ">"
-        raise ValueError(f"{flag} must be finite and {bound} 0 {unit}, got {value!r}")
-
-
-def _check_aimd_flags(args: argparse.Namespace) -> None:
-    """Check the aimd flags by the packet config's rules under every
-    controller: the JSON envelope echoes them, so a run that ignores a
-    value must not accept one the aimd run would refuse."""
-    for flag, value, unit, zero_ok in (
-        ("--fwd-ms", args.fwd_ms, "ms", True),
-        ("--xb-ms", args.xb_ms, "ms", True),
-        ("--rev-ms", args.rev_ms, "ms", True),
-        ("--mark-threshold-ms", args.mark_threshold_ms, "ms", True),
-        ("--packet-bytes", args.packet_bytes, "bytes", False),
-        ("--ai", args.ai, "packets per round trip", False),
-    ):
-        _check_flag(flag, value, unit, zero_ok)
-    if not 0.0 < args.md < 1.0:
-        raise ValueError(f"--md must lie in (0, 1), got {args.md!r}")
-    if args.initial_window < 0:
-        raise ValueError(f"--initial-window must be >= 0 packets, got {args.initial_window!r}")
+        return FixedRate(_si("fixed", spec.removeprefix("fixed:")))
+    raise ValueError(f"unknown controller {spec!r} "
+                     "(oracle-final | oracle-tracking | fixed:<Mbit/s> | aimd)")
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    _check_aimd_flags(args)
-    # checked whenever given, under every controller: aimd reads none of
-    # these values, and the JSON envelope echoes them
-    if args.sample_ms is not None:
-        _check_flag("--sample-ms", args.sample_ms, "ms", zero_ok=False)
-    if args.delay_ms is not None:
-        _check_flag("--delay-ms", args.delay_ms, "ms", zero_ok=True)
-    if args.horizon_ms is not None:
-        _check_flag("--horizon-ms", args.horizon_ms, "ms", zero_ok=False)
-    trace = _load_trace(args)
-    sim_horizon = None if args.horizon_ms is None else args.horizon_ms * MS
-    if args.controller == "aimd":
-        return _simulate_aimd(args, trace, sim_horizon)
+    if args.trace is not None and args.scenario is not None:
+        raise ValueError("pass --trace or --scenario, not both")
+    if args.trace is None and args.scenario is None:
+        raise ValueError("need a trace source: --trace <csv path> or --scenario <name>")
+    if args.trace is not None and args.scenario_param:
+        raise _unused("--scenario-param", "a parameter of a --scenario trace", "--trace")
+    aimd = args.controller == "aimd"
+    if aimd and args.horizon_ms is not None:
+        raise ValueError("--horizon-ms is not supported with the aimd controller; set the trace "
+                         "horizon instead (scenario parameter horizon_ms or the trace CSV)")
+    if args.log_out and not aimd:
+        raise _unused("--log-out", "the aimd controller's event log",
+                      "--controller " + args.controller)
+    si = _given(args)
+    controller = None if aimd else _fluid_controller(args.controller, si.get("delay_ms"))
+    trace = (trace_from_csv(_read_text(args.trace)) if args.trace is not None
+             else _scenario(args.scenario, args.scenario_param))
+    if aimd:
+        return _simulate_aimd(args, si, trace)
 
-    controller = _parse_fluid_controller(args.controller, args.delay_ms)
-    config = SimConfig(trace, controller, horizon=sim_horizon)
-    result = simulate_fluid(config)
+    result = simulate_fluid(SimConfig(trace, controller, horizon=si.get("horizon_ms")))
     summary = {"controller": args.controller, **result_to_json_dict(result)}
-    d = None if args.delay_ms is None else args.delay_ms * MS
+    d = si.get("delay_ms")
     for e, row in zip(result.events, summary["events"]):
         row["bound_s"] = None if d is None else peak_delay_ramp(e.c_factor, d, e.ramp_duration)
-
-    sample_ms = args.sample_ms
-    if args.format == "csv" and sample_ms is None:
-        sample_ms = 10.0
-    series = None if sample_ms is None else _columns(sample_result(result, sample_ms * MS))
+    step = si.get("sample_ms", _si("sample_ms", 10.0) if args.format == "csv" else None)
+    series = None if step is None else _columns(sample_result(result, step))
     return _write_run(args, summary, _FLUID_SERIES, series)
 
 
-def _simulate_aimd(args: argparse.Namespace, trace, sim_horizon: float | None) -> int:
-    if sim_horizon is not None:
-        raise ValueError(
-            "--horizon-ms is not supported with the aimd controller; "
-            "set the trace horizon instead (scenario parameter horizon_ms or the trace CSV)"
-        )
+def _simulate_aimd(args: argparse.Namespace, si: dict, trace) -> int:
     config = PacketSimConfig(
-        trace=trace,
-        packet_size=args.packet_bytes * 8.0,
-        forward_delay=args.fwd_ms * MS,
-        x_to_b_delay=args.xb_ms * MS,
-        reverse_delay=args.rev_ms * MS,
-        aimd=AimdParams(args.ai, args.md),
-        mark_threshold=args.mark_threshold_ms * MS,
-        initial_window=args.initial_window,
+        trace, packet_size=si["packet_bytes"], forward_delay=si["fwd_ms"],
+        x_to_b_delay=si["xb_ms"], reverse_delay=si["rev_ms"], aimd=AimdParams(si["ai"], si["md"]),
+        mark_threshold=si["mark_threshold_ms"], initial_window=si["initial_window"],
         seed=args.seed,
     )
     result = simulate_packets(config)
@@ -472,15 +469,12 @@ def _simulate_aimd(args: argparse.Namespace, trace, sim_horizon: float | None) -
     }
     events = detect_events(trace)
     if events:
+        # summed in ms as typed: converting each delay first moves the last bit
+        round_trip = (args.xb_ms + args.rev_ms) * _FLAGS["rev_ms"][2]
         try:
-            cmp = compare_to_bound(result, events[0], (args.xb_ms + args.rev_ms) * MS)
-            summary["bound_comparison"] = {
-                "bound_s": cmp.bound,
-                "measured_peak_s": cmp.measured_peak,
-                "ratio": cmp.ratio,
-                "slack_s": cmp.slack,
-                "violation": cmp.violation,
-            }
+            cmp = dataclasses.astuple(compare_to_bound(result, events[0], round_trip))
+            keys = ("bound_s", "measured_peak_s", "ratio", "slack_s", "violation")
+            summary["bound_comparison"] = dict(zip(keys, cmp))
         except ValueError as exc:
             summary["bound_comparison"] = {"error": str(exc)}
     if args.log_out:
@@ -497,46 +491,35 @@ def _self_test_grid(grid) -> None:
     for c, d, r, q in grid.rows():
         expected = (c - 1.0) * (2.0 * d - r) / 2.0 if r <= d else (c - 1.0) * d * d / (2.0 * r)
         if not math.isclose(q, expected, rel_tol=1e-12, abs_tol=1e-15):
-            raise RuntimeError(
-                f"sweep self-test mismatch at c={c} d={d} d_ramp={r}: {q} != {expected}"
-            )
-
-
-def _unused_delay(sweep: str) -> ValueError:
-    """The error for ``--delay-ms`` on a sweep that does not read it."""
-    return ValueError(
-        f"--delay-ms is the fixed delay of a --ramp-list-ms sweep; {sweep} takes none"
-    )
+            raise RuntimeError(f"sweep self-test mismatch at c={c} d={d} d_ramp={r}: "
+                               f"{q} != {expected}")
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.fig5 and args.fig7:
         raise ValueError("pick at most one preset (--fig5 or --fig7)")
+    delay_role = "the fixed delay of a --ramp-list-ms sweep"
     if args.delay_ms is not None and (args.fig5 or args.fig7):
-        raise _unused_delay("--fig5" if args.fig5 else "--fig7")
+        raise _unused("--delay-ms", delay_role, "--fig5" if args.fig5 else "--fig7")
+    if not (args.fig5 or args.fig7):
+        if args.c_list is None:
+            raise ValueError("need --c-list (or a preset)")
+        if (args.delay_list_ms is None) == (args.ramp_list_ms is None):
+            raise ValueError("pass exactly one of --delay-list-ms / --ramp-list-ms")
+        if args.delay_list_ms is not None and args.delay_ms is not None:
+            raise _unused("--delay-ms", delay_role, "--delay-list-ms")
+        if args.ramp_list_ms is not None and args.delay_ms is None:
+            raise ValueError("--ramp-list-ms needs the fixed --delay-ms")
+    si = _given(args)
     if args.fig5:
         grid = sweep([1.0 + i / 2.0 for i in range(19)], d_values=[j / 200.0 for j in range(21)])
     elif args.fig7:
-        grid = sweep(
-            [2.0, 5.0, 10.0], d_ramp_values=[i / 100.0 for i in range(51)], signal_delay=0.1
-        )
+        grid = sweep([2.0, 5.0, 10.0], d_ramp_values=[i / 100.0 for i in range(51)],
+                     signal_delay=0.1)
+    elif args.delay_list_ms is not None:
+        grid = sweep(si["c_list"], d_values=si["delay_list_ms"])
     else:
-        if args.c_list is None:
-            raise ValueError("need --c-list (or a preset)")
-        cs = _parse_float_list(args.c_list, "--c-list")
-        if (args.delay_list_ms is None) == (args.ramp_list_ms is None):
-            raise ValueError("pass exactly one of --delay-list-ms / --ramp-list-ms")
-        if args.delay_list_ms is not None:
-            if args.delay_ms is not None:
-                raise _unused_delay("--delay-list-ms")
-            ds = [x * MS for x in _parse_float_list(args.delay_list_ms, "--delay-list-ms")]
-            grid = sweep(cs, d_values=ds)
-        else:
-            if args.delay_ms is None:
-                raise ValueError("--ramp-list-ms needs the fixed --delay-ms")
-            _check_flag("--delay-ms", args.delay_ms, "ms", zero_ok=True)
-            rs = [x * MS for x in _parse_float_list(args.ramp_list_ms, "--ramp-list-ms")]
-            grid = sweep(cs, d_ramp_values=rs, signal_delay=args.delay_ms * MS)
+        grid = sweep(si["c_list"], d_ramp_values=si["ramp_list_ms"], signal_delay=si["delay_ms"])
     if args.self_test:
         _self_test_grid(grid)
     if args.format == "json":
@@ -547,6 +530,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
+    mode = "--list" if args.list else "--table" if args.table else None
+    if args.scenario_param and mode:
+        raise _unused("--scenario-param", "a parameter of an --emit scenario", mode)
     if args.list:
         _emit((f"{name}: {scenario_description(name)}\n" for name in scenario_names()), args.out)
         return EXIT_OK
@@ -558,18 +544,13 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         _emit(_csv(columns, zip(*rows), _cell), args.out)
         return EXIT_OK
     if args.emit:
-        params = _scenario_params(args.scenario_param or [])
-        _emit((trace_to_csv(scenario_trace(args.emit, **params)),), args.out)
+        _emit((trace_to_csv(_scenario(args.emit, args.scenario_param)),), args.out)
         return EXIT_OK
     raise ValueError("pass --list, --table <name>, or --emit <scenario>")
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    horizon = None
-    if args.horizon_ms is not None:
-        # a horizon of 0 passes: the trace refuses it, with exit 3
-        _check_flag("--horizon-ms", args.horizon_ms, "ms", zero_ok=True)
-        horizon = args.horizon_ms * MS
+    horizon = _given(args).get("ingest_horizon_ms")
     _emit((trace_to_csv(trace_from_csv(_read_text(args.path), horizon=horizon)),), args.out)
     return EXIT_OK
 
@@ -654,7 +635,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="validate and canonicalize a trace CSV")
     p.add_argument("path", help="trace CSV path ('-' for stdin)")
-    p.add_argument("--horizon-ms", type=float, help="explicit horizon (default: last row's time)")
+    p.add_argument("--horizon-ms", type=float, dest="ingest_horizon_ms", metavar="HORIZON_MS",
+                   help="explicit horizon (default: last row's time)")
     _add_output_flags(p, None)
     p.set_defaults(func=_cmd_ingest)
 

@@ -50,7 +50,9 @@ MAX_SAMPLES = 1_000_000
 # is taken as zero.  At a cell start f subtracts rates interpolated from
 # breakpoints, a few ulp off (at most 1.9e-16 of the top rate over 5,000
 # solver_cases draws); at a flip inside a cell it is recomputed there, off
-# by the slope times the flip's rounding (up to 9.6e-13).
+# by the slope times the flip's rounding (up to 9.6e-13).  The snap is
+# relative only, with no absolute floor, so scaling every rate by a power
+# of two scales every output bit for bit.
 _RATE_NOISE = 1e-12
 
 
@@ -337,7 +339,7 @@ def simulate_fluid(config: SimConfig) -> FluidResult:
         c0 = trace.capacity_at(u)
         c1 = trace.left_limit_at(v)
         g = ((a1 - a0) - (c1 - c0)) / width
-        noise = _RATE_NOISE * max(a0, a1, c0, c1, 1.0)
+        noise = _RATE_NOISE * max(a0, a1, c0, c1)
         cur = u
         while cur < v:
             f_cur = (a0 - c0) + g * (cur - u)

@@ -21,6 +21,7 @@ __all__ = [
     "dublin_ny_table",
     "scenario_names",
     "scenario_description",
+    "scenario_params",
     "scenario_trace",
 ]
 
@@ -117,18 +118,26 @@ def scenario_names() -> list[str]:
     return sorted(_SCENARIOS)
 
 
-def scenario_description(name: str) -> str:
+def _entry(name: str) -> tuple:
     if name not in _SCENARIOS:
         raise ValueError(f"unknown scenario {name!r}; known: {', '.join(scenario_names())}")
-    return _SCENARIOS[name][1]
+    return _SCENARIOS[name]
+
+
+def scenario_description(name: str) -> str:
+    return _entry(name)[1]
+
+
+def scenario_params(name: str) -> tuple[str, ...]:
+    """The keyword parameters a registered scenario's builder takes."""
+    code = _entry(name)[0].__code__
+    return code.co_varnames[: code.co_argcount]
 
 
 def scenario_trace(name: str, **params: object) -> CapacityTrace:
     """Build a registered scenario's trace; unknown names or parameters raise
     ValueError."""
-    if name not in _SCENARIOS:
-        raise ValueError(f"unknown scenario {name!r}; known: {', '.join(scenario_names())}")
-    builder = _SCENARIOS[name][0]
+    builder = _entry(name)[0]
     try:
         return builder(**params)  # type: ignore[arg-type]
     except TypeError as exc:

@@ -906,6 +906,73 @@ USAGE_ERRORS = {
         ["scenario"],
         "error: pass --list, --table <name>, or --emit <scenario>\n",
     ),
+    # list items, the fixed: rate and scenario keys go through the flag
+    # table too, so no message reports a value in units the user never typed
+    "negative_ramp_list_item": (
+        ["sweep", "--c-list", "2", "--delay-ms", "5", "--ramp-list-ms", "-10"],
+        "error: --ramp-list-ms must be finite and >= 0 ms, got -10.0\n",
+    ),
+    "negative_delay_list_item": (
+        ["sweep", "--c-list", "2", "--delay-list-ms", "-10"],
+        "error: --delay-list-ms must be finite and >= 0 ms, got -10.0\n",
+    ),
+    "c_list_item_below_one": (
+        ["sweep", "--c-list", "2,0.5", "--delay-list-ms", "10"],
+        "error: --c-list must be finite and >= 1, got 0.5\n",
+    ),
+    "negative_fixed_rate": (
+        ["simulate", "--scenario", "wifi-step", "--controller", "fixed:-8"],
+        "error: --controller fixed:<Mbit/s> must be finite and > 0 Mbit/s, got -8.0\n",
+    ),
+    "fixed_rate_not_a_number": (
+        ["simulate", "--scenario", "wifi-step", "--controller", "fixed:abc"],
+        "error: --controller fixed:<Mbit/s> contains a malformed number: 'abc'\n",
+    ),
+    "negative_scenario_onset": (
+        ["scenario", "--emit", "wifi-step", "--scenario-param", "onset_ms=-5"],
+        "error: --scenario-param onset_ms must be finite and > 0 ms, got -5.0\n",
+    ),
+    "negative_mcs_walk_rate": (
+        ["scenario", "--emit", "wifi-mcs-walk", "--scenario-param", "rates_mbps=-1:2"],
+        "error: --scenario-param rates_mbps must be finite and > 0 Mbit/s, got -1.0\n",
+    ),
+    "contention_c_factor_of_one": (
+        ["scenario", "--emit", "ramp-contention", "--scenario-param", "c_factor=1"],
+        "error: --scenario-param c_factor must be finite and > 1, got 1.0\n",
+    ),
+    "key_the_scenario_does_not_take": (
+        ["scenario", "--emit", "wifi-step", "--scenario-param", "c_factor=2"],
+        "error: scenario 'wifi-step' takes no parameter 'c_factor'; it takes horizon_ms, "
+        "onset_ms, post_mbps, pre_mbps\n",
+    ),
+    "rates_on_wifi_step": (
+        ["simulate", "--scenario", "wifi-step", "--scenario-param", "rates_mbps=1:2",
+         "--controller", "fixed:8"],
+        "error: scenario 'wifi-step' takes no parameter 'rates_mbps'; it takes horizon_ms, "
+        "onset_ms, post_mbps, pre_mbps\n",
+    ),
+    "post_rate_above_pre_rate": (
+        ["bound", "--pre-rate", "10", "--post-rate", "20", "--delay-ms", "1"],
+        "error: --post-rate must be <= --pre-rate, got --pre-rate 10.0 and --post-rate 20.0\n",
+    ),
+    # a given input that the run would drop is refused, as aimd_with_horizon is
+    "log_out_under_fixed": (
+        ["simulate", "--scenario", "wifi-step", "--controller", "fixed:8", "--log-out", "events.csv"],
+        "error: --log-out is the aimd controller's event log; --controller fixed:8 takes none\n",
+    ),
+    "scenario_param_with_trace": (
+        ["simulate", "--trace", "trace.csv", "--controller", "fixed:8", "--scenario-param",
+         "onset_ms=-5"],
+        "error: --scenario-param is a parameter of a --scenario trace; --trace takes none\n",
+    ),
+    "scenario_param_with_list": (
+        ["scenario", "--list", "--scenario-param", "onset_ms=5"],
+        "error: --scenario-param is a parameter of an --emit scenario; --list takes none\n",
+    ),
+    "scenario_param_with_table": (
+        ["scenario", "--table", "wifi", "--scenario-param", "onset_ms=5"],
+        "error: --scenario-param is a parameter of an --emit scenario; --table takes none\n",
+    ),
 }
 
 
@@ -913,6 +980,85 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv, stderr", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
     def test_exit_2_with_the_message(self, capsys, argv, stderr):
         assert run_cli(capsys, *argv) == (2, "", stderr)
+
+
+# A 12 -> 1.2 Mbit/s step at 100 ms of a 300 ms trace: an aimd run over it
+# sends a few hundred packets.
+SMALL = ["--scenario", "wifi-step", "--scenario-param", "pre_mbps=12", "--scenario-param",
+         "post_mbps=1.2", "--scenario-param", "onset_ms=100", "--scenario-param", "horizon_ms=300"]
+
+# Each domain of the flag table, restated from README.
+IN_DOMAIN = {
+    "> 0": lambda v: math.isfinite(v) and v > 0,
+    ">= 0": lambda v: math.isfinite(v) and v >= 0,
+    "> 1": lambda v: math.isfinite(v) and v > 1,
+    ">= 1": lambda v: math.isfinite(v) and v >= 1,
+    "(0, 1)": lambda v: 0 < v < 1,
+    "whole >= 0": lambda v: v >= 0,
+}
+
+# The scenario that takes each --scenario-param key.
+KEY_SCENARIO = {"post_mbps": "wifi-step", "rates_mbps": "wifi-mcs-walk", "dwell_ms": "wifi-mcs-walk"}
+
+EXTREMES = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+            1e-300, 1e308, -1e308, 1.7976931348623157e308, 0.5, 1.0, 2.0, -3.0)
+
+
+def flag_argv(key: str, text: str, controller: str) -> list[str]:
+    """An argv that gives the value ``text`` to the flag table's row ``key``."""
+    if key.startswith("scenario_param."):
+        name = key.partition(".")[2]
+        value = f"100:{text}" if name == "rates_mbps" else text
+        return ["simulate", "--scenario", KEY_SCENARIO.get(name, "ramp-contention"),
+                "--scenario-param", f"{name}={value}", "--controller", "fixed:8", "--format", "json"]
+    cases = {
+        "c_factor": ["bound", f"--c-factor={text}", "--delay-ms", "17"],
+        "pre_rate": ["bound", f"--pre-rate={text}", "--post-rate", "1e-3", "--delay-ms", "17"],
+        "post_rate": ["bound", "--pre-rate", "1e3", f"--post-rate={text}", "--delay-ms", "17"],
+        "ramp_ms": ["bound", "--c-factor", "10", "--delay-ms", "17", f"--ramp-ms={text}"],
+        "c_list": ["sweep", f"--c-list=2,{text}", "--delay-list-ms", "10"],
+        "delay_list_ms": ["sweep", "--c-list", "2", f"--delay-list-ms=10,{text}"],
+        "ramp_list_ms": ["sweep", "--c-list", "2", "--delay-ms", "10", f"--ramp-list-ms={text}"],
+        "fixed": ["simulate", *SMALL, "--controller", f"fixed:{text}"],
+    }
+    if key == "ingest_horizon_ms":
+        return ["ingest", "-", f"--horizon-ms={text}"]
+    if key in cases:
+        return [*cases[key], "--format", "json"]
+    if key == "horizon_ms" and controller == "aimd":
+        controller = "fixed:8"
+    delay = ["--delay-ms", "10"] if controller.startswith("oracle") and key != "delay_ms" else []
+    flag = cli._FLAGS[key][0]
+    return ["simulate", *SMALL, "--controller", controller, *delay, f"{flag}={text}",
+            "--format", "json"]
+
+
+class TestFlagTable:
+    """Every row of the flag table, list items, fixed: and scenario keys
+    included, against values across the float range: each run exits 0, 2,
+    3 or 4 with no traceback, and a value outside its row's domain exits 2
+    with a message naming the flag and the value as typed."""
+
+    @settings(max_examples=300, deadline=5000)
+    @given(key=st.sampled_from(sorted(cli._FLAGS)),
+           number=st.sampled_from(EXTREMES) | st.floats(),
+           whole=st.sampled_from((0, -1, 2**63)) | st.integers(-10**6, 10**6),
+           controller=st.sampled_from(("fixed:8", "oracle-final", "oracle-tracking", "aimd")))
+    def test_each_row_checks_its_domain(self, key, number, whole, controller):
+        flag, _, _, domain = cli._FLAGS[key][:4]
+        value = whole if domain == "whole >= 0" else number
+        argv = flag_argv(key, repr(value), controller)
+        out, err = io.StringIO(), io.StringIO()
+        with patch("sys.stdin", io.StringIO("0,1e7,hold\n1,1e6,hold\n")), \
+                patch("ccbound.packetsim.MAX_PACKETS", 20_000), \
+                redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        err = err.getvalue()
+        assert code in (0, 2, 3, 4), (argv, err)
+        assert "Traceback" not in err
+        if not IN_DOMAIN[domain](value):
+            assert code == 2, (argv, err)
+            assert err.startswith(f"error: {flag} must ") and err.endswith(f", got {value!r}\n"), err
 
 
 class TestParser:

@@ -209,7 +209,7 @@ CASES = {
         stdin=None,
         code=2,
         out="",
-        err="error: c_factor must be finite and >= 1, got 0.5\n",
+        err="error: --c-factor must be finite and >= 1, got 0.5\n",
     ),
     "final_json_series": Case(
         argv=(

@@ -9,6 +9,7 @@ import json
 import math
 import pickle
 import random
+from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
 
@@ -35,6 +36,7 @@ from ccbound.fluid import (
     sender_rate_trace,
     simulate_fluid,
 )
+from ccbound.packetsim import AimdParams, PacketSimConfig, simulate_packets
 from ccbound.trace import (
     Breakpoint,
     CapacityTrace,
@@ -1144,3 +1146,107 @@ class TestSerialization:
         # the exact description stays on the result
         assert result.segments[0].t_start == 0.0
         assert result.segments[-1].t_end == 5.0
+
+
+@st.composite
+def tangent_configs(draw):
+    """A hold at r0 that a sender at r2 > r0 fills, then a ramp from r1 > r2
+    down to r2 whose drain equals the queue: the backlog touches zero at the
+    ramp's end, where the solver clamps it."""
+    r0 = draw(st.floats(1e6, 1e8))
+    r2 = r0 * draw(st.floats(1.1, 10.0))
+    r1 = r2 * draw(st.floats(1.1, 10.0))
+    ramp = draw(st.floats(0.1, 2.0))
+    t1 = (r1 - r2) * ramp / 2.0 / (r2 - r0)
+    bps = (Breakpoint(0.0, r0), Breakpoint(t1, r1, SegmentMode.LINEAR),
+           Breakpoint(t1 + ramp, r2), Breakpoint(t1 + ramp + 1.0, r2))
+    return SimConfig(CapacityTrace(bps, t1 + ramp + 1.0), FixedRate(r2))
+
+
+def scaled_trace(trace, kt, kr):
+    """``trace`` with every time times 2**kt and every rate times 2**kr."""
+    bps = (Breakpoint(math.ldexp(bp.time, kt), math.ldexp(bp.rate, kr), bp.mode)
+           for bp in trace.breakpoints)
+    return CapacityTrace(tuple(bps), math.ldexp(trace.horizon, kt))
+
+
+def scaled_config(config, kt, kr):
+    controller = config.controller
+    if isinstance(controller, FixedRate):
+        controller = FixedRate(math.ldexp(controller.rate, kr))
+    else:
+        controller = type(controller)(math.ldexp(controller.signal_delay, kt))
+    return SimConfig(scaled_trace(config.trace, kt, kr), controller)
+
+
+def assert_scaled(got, want, k):
+    """Each float of ``got`` is the one of ``want`` times 2**k, bit for bit
+    (NaN as NaN); anything else is equal."""
+    if isinstance(want, float):
+        expected = math.ldexp(want, k)
+        assert got.hex() == expected.hex() or (math.isnan(got) and math.isnan(want)), (got, want, k)
+    elif isinstance(want, (tuple, list, array)):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_scaled(g, w, k)
+    else:
+        assert got == want
+
+
+class TestScaleCovariance:
+    """Scaling every time by 2**kt and every rate by 2**kr is exact in binary
+    floating point while nothing overflows or goes subnormal, so each output
+    scales bit for bit: times by 2**kt, rates by 2**kr, bits by 2**(kt + kr).
+    No reference and no tolerance; an absolute constant hidden in code whose
+    inputs carry units breaks it.  The CLI's ms and Mbit/s are not powers of
+    two, so this is a property of the library, not of the CLI."""
+
+    @given(config=st.one_of(solver_cases(), tangent_configs()),
+           kt=st.integers(-200, 200), kr=st.integers(-200, 200))
+    @example(config=REPRO_DROPPED_CELL, kt=0, kr=-66)
+    @settings(max_examples=200, deadline=None)
+    def test_fluid_outputs_scale_exactly(self, config, kt, kr):
+        a = simulate_fluid(config)
+        b = simulate_fluid(scaled_config(config, kt, kr))
+        kb = kt + kr
+        for name, k in (("peak_backlog", kb), ("peak_time", kt), ("peak_delay_final_norm", kt),
+                        ("peak_fifo_delay", kt), ("fifo_beyond_horizon", 0),
+                        ("final_norm_rate", kr), ("bits_in", kb), ("bits_out", kb),
+                        ("horizon", kt), ("_t_start", kt), ("_q0", kb), ("_q1", kr),
+                        ("_q2", kr - kt)):
+            assert_scaled(getattr(b, name), getattr(a, name), k)
+        assert len(a.events) == len(b.events)
+        for ea, eb in zip(a.events, b.events):
+            for name, k in (("onset", kt), ("pre_rate", kr), ("post_rate", kr),
+                            ("ramp_duration", kt)):
+                assert_scaled(getattr(eb, name), getattr(ea, name), k)
+        ts = [a.peak_time, a.horizon, *(a.horizon * f for f in (0.0, 0.125, 0.37, 0.5, 0.93))]
+        for t in ts:
+            assert_scaled(fifo_delay_at(b, math.ldexp(t, kt)), fifo_delay_at(a, t), kt)
+        step = a.horizon / 7.0
+        for sa, sb in zip(sample_result(a, step), sample_result(b, math.ldexp(step, kt)),
+                          strict=True):
+            for va, vb, k in zip(sa, sb, (kt, kb, kt, kt)):
+                assert_scaled(vb, va, k)
+        queries = [(t, a.bits_in * f) for t in sorted(ts) for f in (0.0, 0.01, 0.3)]
+        scaled = [(math.ldexp(t, kt), math.ldexp(bits, kb)) for t, bits in queries]
+        assert_scaled(list(b.trace.drain_times(scaled)), list(a.trace.drain_times(queries)), kt)
+
+    @given(pre=st.floats(2e6, 1e7), c=st.floats(1.5, 10.0), onset=st.floats(0.02, 0.1),
+           ramp=st.sampled_from((0.0, 0.03)), seed=st.integers(0, 3),
+           kt=st.integers(-200, 200), kr=st.integers(-200, 200))
+    @settings(max_examples=200, deadline=None)
+    def test_packet_columns_scale_exactly(self, pre, c, onset, ramp, seed, kt, kr):
+        trace = make_ramp_trace(pre, pre / c, onset, ramp, onset + ramp + 0.05)
+        knobs = dict(packet_size=12000.0, forward_delay=0.002, x_to_b_delay=0.004,
+                     reverse_delay=0.005, mark_threshold=0.01)
+        ks = dict(packet_size=kt + kr, forward_delay=kt, x_to_b_delay=kt, reverse_delay=kt,
+                  mark_threshold=kt)
+        a = simulate_packets(PacketSimConfig(trace, aimd=AimdParams(1.5, 0.7), seed=seed, **knobs))
+        b = simulate_packets(PacketSimConfig(
+            scaled_trace(trace, kt, kr), aimd=AimdParams(1.5, 0.7), seed=seed,
+            **{name: math.ldexp(v, ks[name]) for name, v in knobs.items()}))
+        for name, k in (("_paced_times", kt), ("_dequeue_times", kt), ("_sojourns", kt),
+                        ("_windows", 0), ("_codes", 0), ("_sends", 0), ("peak_queue_delay", kt),
+                        ("congestion_reached", 0), ("packets_sent", 0), ("packets_delivered", 0)):
+            assert_scaled(getattr(b, name), getattr(a, name), k)
