@@ -325,7 +325,8 @@ def cli_digest(rng: random.Random) -> tuple[str, int]:
     runs: list[tuple[list[str], str]] = []
     for n in (1000, 4000):
         trace = walk_csv(rng, n)
-        for controller in ("oracle-final", "oracle-tracking", f"fixed:{log_uniform(rng, 1.0, 100.0)!r}"):
+        fixed = f"fixed:{log_uniform(rng, 1.0, 100.0)!r}"
+        for controller in ("oracle-final", "oracle-tracking", fixed):
             flags = ["--delay-ms", "0.3" if controller == "oracle-final" else "15.7"]
             if controller.startswith("fixed:"):
                 flags += ["--horizon-ms", "777.7"]
@@ -336,7 +337,8 @@ def cli_digest(rng: random.Random) -> tuple[str, int]:
     runs.append((["simulate", "--trace", "-", *AIMD_FLAGS, "--sample-ms", "1"], STEP_CSV))
     for _ in range(4):
         pre = log_uniform(rng, 1.0, 1000.0)
-        post, delay, ramp = pre / log_uniform(rng, 1.0, 100.0), rng.uniform(0, 100), rng.uniform(0, 200)
+        post = pre / log_uniform(rng, 1.0, 100.0)
+        delay, ramp = rng.uniform(0, 100), rng.uniform(0, 200)
         for fmt in ("json", "csv"):
             runs.append((["bound", "--pre-rate", repr(pre), "--post-rate", repr(post), "--delay-ms",
                           repr(delay), "--ramp-ms", repr(ramp), "--debug-echo", "--format", fmt], ""))
