@@ -9,11 +9,10 @@ the exact formulas, their inverse, and grid evaluation for plot data.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator, Literal, Sequence
 
-from .trace import check_rate, check_seconds
+from .trace import check, check_rate, check_seconds
 
 __all__ = [
     "check_c_factor",
@@ -28,10 +27,7 @@ __all__ = [
 
 def check_c_factor(value: float, name: str = "c_factor") -> float:
     """Validate a reduction factor: finite and >= 1 (1 means no reduction)."""
-    value = float(value)
-    if not math.isfinite(value) or value < 1.0:
-        raise ValueError(f"{name} must be finite and >= 1, got {value!r}")
-    return value
+    return check(value, name, ">= 1")
 
 
 def reduction_factor(pre_rate: float, post_rate: float) -> float:
@@ -76,9 +72,9 @@ def ramp_duration_for_target(c_factor: float, signal_delay: float, target_delay:
     """
     c = check_c_factor(c_factor)
     d = check_seconds(signal_delay, "signal_delay")
-    q = float(target_delay)
+    q = check(target_delay, "target_delay", "> 0", "seconds")
     step_q = (c - 1.0) * d
-    if not (math.isfinite(q) and 0.0 < q <= step_q):
+    if q > step_q:
         raise ValueError(
             f"target_delay must lie in (0, (c_factor - 1) * signal_delay] = (0, {step_q!r}], got {q!r}"
         )
@@ -137,15 +133,15 @@ def sweep(
                 "a step sweep takes no signal_delay (its delays are d_values), "
                 f"got {signal_delay!r}"
             )
-        kind, name, values, check, d = "step", "d_values", d_values, "signal_delay", None
+        kind, name, values, label, d = "step", "d_values", d_values, "signal_delay", None
         q = peak_delay_step
     else:
         if signal_delay is None:
             raise ValueError("a ramp sweep needs the fixed signal_delay")
-        kind, name, values, check = "ramp", "d_ramp_values", d_ramp_values, "ramp_duration"
+        kind, name, values, label = "ramp", "d_ramp_values", d_ramp_values, "ramp_duration"
         d = check_seconds(signal_delay, "signal_delay")
         q = lambda c, r: peak_delay_ramp(c, d, r)  # noqa: E731
-    ts = tuple(check_seconds(t, check) for t in values)
+    ts = tuple(check_seconds(t, label) for t in values)
     if not ts:
         raise ValueError(f"{name} must be non-empty")
     return SweepGrid(kind, cs, ts, d, tuple(tuple(q(c, t) for t in ts) for c in cs))

@@ -52,7 +52,7 @@ from .scenarios import (
     scenario_trace,
     wifi_rates,
 )
-from .trace import TraceParseError, detect_events, trace_from_csv, trace_to_csv
+from .trace import TraceParseError, check, detect_events, trace_from_csv, trace_to_csv
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_MODEL = 0, 2, 3, 4
 
@@ -77,7 +77,7 @@ _JSON_SERIES = {**_JSON_SCALARS, "nan": "null"}
 _BLOCK = 8192
 
 # One row per numeric input, keyed by its argparse dest: the flag as typed,
-# its unit, its scale to SI and its domain (the library check it fronts).  A
+# its unit, its scale to SI and its domain (a row of the library's table).  A
 # list flag's row holds for each item; "fixed" is the number in fixed:<Mbit/s>;
 # a --scenario-param key's row also names the scenario keyword it sets.  Every
 # value given is checked against its row under every command and controller,
@@ -112,16 +112,6 @@ _FLAGS = {
     "scenario_param.ramp_ms": ("--scenario-param ramp_ms", "ms", MS, ">= 0", "ramp_duration"),
     "scenario_param.dwell_ms": ("--scenario-param dwell_ms", "ms", MS, "> 0", "dwell"),
     "scenario_param.c_factor": ("--scenario-param c_factor", "", 1.0, "> 1", "c_factor"),
-}
-
-# Each domain's test and its wording in a message.
-_DOMAINS = {
-    "> 0": (lambda v: math.isfinite(v) and v > 0.0, "be finite and > 0"),
-    ">= 0": (lambda v: math.isfinite(v) and v >= 0.0, "be finite and >= 0"),
-    "> 1": (lambda v: math.isfinite(v) and v > 1.0, "be finite and > 1"),
-    ">= 1": (lambda v: math.isfinite(v) and v >= 1.0, "be finite and >= 1"),
-    "(0, 1)": (lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
-    "whole >= 0": (lambda v: v >= 0, "be >= 0"),  # argparse parsed it as an int
 }
 
 
@@ -325,7 +315,9 @@ def _write_run(args: argparse.Namespace, summary: dict, columns: tuple[str, ...]
 def _si(key: str, typed: float | str, sep: str | None = None) -> float | list[float]:
     """``typed`` checked against the row ``key`` of ``_FLAGS`` and scaled to
     SI.  ``typed`` is a number as argparse parsed it, or text as typed: one
-    number, or with ``sep`` a list of numbers, returned as a list."""
+    number, or with ``sep`` a list of numbers, returned as a list.  Each
+    value is checked as typed, then again once scaled, which can overflow
+    or underflow."""
     flag, unit, scale, domain = _FLAGS[key][:4]
     values, listed = [typed], isinstance(typed, str) and sep is not None
     if isinstance(typed, str):
@@ -336,11 +328,9 @@ def _si(key: str, typed: float | str, sep: str | None = None) -> float | list[fl
             values = [float(x) for x in items]
         except ValueError:
             raise ValueError(f"{flag} contains a malformed number: {typed!r}") from None
-    test, wording = _DOMAINS[domain]
-    for value in values:
-        if not test(value):
-            raise ValueError(f"{flag} must {wording} {unit}".rstrip() + f", got {value!r}")
-    return [v * scale for v in values] if listed else values[0] * scale
+    values = [check(v, flag, domain, unit) for v in values]
+    si = [check(v * scale, f"{flag} {v!r} {unit} in SI units", domain) for v in values]
+    return si if listed else si[0]
 
 
 def _given(args: argparse.Namespace) -> dict:
@@ -368,7 +358,10 @@ def _scenario(name: str, pairs: list[str] | None):
             raise ValueError(
                 f"scenario {name!r} takes no parameter {key!r}; it takes {', '.join(takes)}")
         kwargs[_FLAGS[rows[key]][4]] = value
-    return scenario_trace(name, **kwargs)
+    try:
+        return scenario_trace(name, **kwargs)
+    except ValueError as exc:  # a check that joins values, e.g. an onset past the horizon
+        raise ValueError(f"--scenario-param {' '.join(pairs or ())}: {exc}") from None
 
 
 def _read_text(path: str) -> str:

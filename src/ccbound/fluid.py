@@ -20,6 +20,7 @@ from .trace import (
     CapacityEvent,
     CapacityTrace,
     SegmentMode,
+    check,
     check_rate,
     check_seconds,
     detect_events,
@@ -108,9 +109,7 @@ class SimConfig:
     horizon: float | None = None
 
     def __post_init__(self) -> None:
-        h = self.trace.horizon if self.horizon is None else check_seconds(self.horizon, "horizon")
-        if h <= 0.0:
-            raise ValueError(f"horizon must be > 0, got {h!r}")
+        h = self.trace.horizon if self.horizon is None else check(self.horizon, "horizon", "> 0", "seconds")
         if h > self.trace.horizon:
             raise ModelViolationError(
                 f"simulation horizon {h!r} exceeds the trace horizon {self.trace.horizon!r}"
@@ -240,10 +239,12 @@ class FluidResult:
     ``peak_delay_final_norm`` is the peak backlog divided by the rate after
     the reduction that caused it (the capacity at the peak instant when no
     reduction precedes the peak), i.e. the time the final capacity would
-    need to drain the peak.  ``peak_fifo_delay`` instead asks how long the
-    bit arriving at the worst instant actually waits given the future
-    capacity; instants whose backlog outlives the horizon cannot be
-    evaluated and are skipped, with ``fifo_beyond_horizon`` set.
+    need to drain the peak.  ``peak_fifo_delay`` is the largest actual
+    wait, given the future capacity, of a bit arriving at a candidate
+    instant (a piece start, an interior backlog maximum, the horizon): a
+    lower bound that can miss the worst wait in a run that drains.
+    Instants whose backlog outlives the horizon cannot be evaluated and
+    are skipped, with ``fifo_beyond_horizon`` set.
     """
 
     peak_backlog: float
@@ -454,9 +455,7 @@ def sample_result(result: FluidResult, step: float) -> list[FluidSample]:
     undershoot ``result.peak_backlog``.  A step that would yield more than
     :data:`MAX_SAMPLES` rows raises ValueError.
     """
-    step = float(step)
-    if not (math.isfinite(step) and step > 0.0):
-        raise ValueError(f"step must be a finite value > 0 seconds, got {step!r}")
+    step = check(step, "step", "> 0", "seconds")
     h = result.horizon
     count = h / step + 1.0  # inf when the quotient overflows
     if not count <= MAX_SAMPLES:

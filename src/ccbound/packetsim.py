@@ -42,7 +42,7 @@ from itertools import count
 from typing import NamedTuple
 
 from .bounds import peak_delay_ramp
-from .trace import CapacityEvent, CapacityTrace, _rate_in, check_seconds, detect_events
+from .trace import CapacityEvent, CapacityTrace, _rate_in, check, check_seconds, detect_events
 
 __all__ = [
     "AimdParams",
@@ -67,13 +67,11 @@ _ENQ, _DEQ, _ACK = range(3)
 MAX_PACKETS = 1_000_000
 
 
-def _refuse_bools(config, names: tuple[str, ...]) -> None:
-    """Raise for a bool in a float field: float() and the range checks take
-    True as 1, which would run 1-bit packets or 1 s delays."""
-    for name in names:
-        value = getattr(config, name)
-        if isinstance(value, bool):
-            raise ValueError(f"{name} must be a number, got {value!r}")
+def _check_fields(config, rows: tuple[tuple[str, str, str], ...]) -> None:
+    """Check each ``(field, domain, unit)`` of ``rows`` on the frozen
+    ``config`` in turn, and set the field to the value checked."""
+    for name, domain, unit in rows:
+        object.__setattr__(config, name, check(getattr(config, name), name, domain, unit))
 
 
 @dataclass(frozen=True)
@@ -84,15 +82,8 @@ class AimdParams:
     multiplicative_decrease: float = 0.5
 
     def __post_init__(self) -> None:
-        _refuse_bools(self, ("additive_increase", "multiplicative_decrease"))
-        if not (math.isfinite(self.additive_increase) and self.additive_increase > 0.0):
-            raise ValueError(
-                f"additive_increase must be > 0 packets per round trip, got {self.additive_increase!r}"
-            )
-        if not 0.0 < self.multiplicative_decrease < 1.0:
-            raise ValueError(
-                f"multiplicative_decrease must lie in (0, 1), got {self.multiplicative_decrease!r}"
-            )
+        _check_fields(self, (("additive_increase", "> 0", "packets per round trip"),
+                             ("multiplicative_decrease", "(0, 1)", "")))
 
 
 @dataclass(frozen=True)
@@ -108,10 +99,12 @@ class PacketSimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _refuse_bools(self, ("packet_size", "forward_delay", "x_to_b_delay", "reverse_delay",
-                             "mark_threshold"))
-        if not (math.isfinite(self.packet_size) and self.packet_size > 0.0):
-            raise ValueError(f"packet_size must be > 0 bits, got {self.packet_size!r}")
+        # the seed is a whole number: random.Random(None) would seed from OS
+        # entropy and break byte-identical logs per config
+        _check_fields(self, (("packet_size", "> 0", "bits"), ("forward_delay", ">= 0", "seconds"),
+                             ("x_to_b_delay", ">= 0", "seconds"), ("reverse_delay", ">= 0", "seconds"),
+                             ("mark_threshold", ">= 0", "seconds"),
+                             ("initial_window", "whole >= 0", "packets"), ("seed", "whole", "")))
         # no rate on the trace lies outside its breakpoint rates, so every
         # service time is finite when the slowest is, and moves the clock
         # at the horizon when the fastest does
@@ -129,20 +122,6 @@ class PacketSimConfig:
                 f"packet_size {self.packet_size!r} bits is served at the trace's top rate "
                 f"{top!r} bit/s in less time than the horizon {horizon!r} s can add"
             )
-        check_seconds(self.forward_delay, "forward_delay")
-        check_seconds(self.x_to_b_delay, "x_to_b_delay")
-        check_seconds(self.reverse_delay, "reverse_delay")
-        check_seconds(self.mark_threshold, "mark_threshold")
-        # a bool is an int to isinstance, but True packets is no window
-        if (not isinstance(self.initial_window, int) or isinstance(self.initial_window, bool)
-                or self.initial_window < 0):
-            raise ValueError(
-                f"initial_window must be a whole number >= 0 packets, got {self.initial_window!r}"
-            )
-        # random.Random(None) seeds from OS entropy, which would break
-        # byte-identical logs per config
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ValueError(f"seed must be a whole number, got {self.seed!r}")
 
 
 class LogEntry(NamedTuple):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .bounds import peak_delay_step
-from .trace import Breakpoint, CapacityTrace, make_ramp_trace, make_step_trace
+from .trace import Breakpoint, CapacityTrace, check, make_ramp_trace, make_step_trace
 
 __all__ = [
     "WifiRateRow",
@@ -82,12 +82,10 @@ def _wifi_step(
 def _wifi_mcs_walk(
     rates: Sequence[float] = (866.7e6, 144.4e6, 14.4e6), dwell: float = 1.0
 ) -> CapacityTrace:
-    values = tuple(float(r) for r in rates)
+    values = tuple(rates)
     if len(values) < 2:
         raise ValueError("wifi-mcs-walk needs at least two rate levels")
-    dwell = float(dwell)
-    if dwell <= 0.0:
-        raise ValueError(f"dwell must be > 0 seconds, got {dwell!r}")
+    dwell = check(dwell, "dwell", "> 0", "seconds")
     bps = tuple(Breakpoint(i * dwell, r) for i, r in enumerate(values))
     return CapacityTrace(bps, dwell * len(values))
 
@@ -99,8 +97,7 @@ def _ramp_contention(
     ramp_duration: float = 0.5,
     horizon: float = 5.0,
 ) -> CapacityTrace:
-    if not c_factor > 1.0:
-        raise ValueError(f"c_factor must be > 1 for a contention ramp, got {c_factor!r}")
+    c_factor = check(c_factor, "c_factor", "> 1")
     return make_ramp_trace(pre_rate, pre_rate / c_factor, onset, ramp_duration, horizon)
 
 

@@ -28,13 +28,37 @@ __all__ = [
     "trace_to_csv",
 ]
 
+# Every numeric domain of the library and the CLI: its test, and its wording
+# after "must" in a refusal.  No test passes nan, as no comparison with it holds.
+_DOMAINS = {
+    "> 0": (lambda v: 0.0 < v < math.inf, "be finite and > 0"),
+    ">= 0": (lambda v: 0.0 <= v < math.inf, "be finite and >= 0"),
+    "> 1": (lambda v: 1.0 < v < math.inf, "be finite and > 1"),
+    ">= 1": (lambda v: 1.0 <= v < math.inf, "be finite and >= 1"),
+    "(0, 1)": (lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
+    "whole >= 0": (lambda v: isinstance(v, int) and v >= 0, "be a whole number >= 0"),
+    "whole": (lambda v: isinstance(v, int), "be a whole number"),
+}
+
+
+def check(value, name: str, domain: str, unit: str = ""):
+    """``value`` checked against the row ``domain`` of ``_DOMAINS`` and
+    returned: as it is in a whole-number domain, which takes an ``int``
+    only, else as ``float(value)``.  A ``bool`` fails every domain, as
+    ``float(True)`` would pass for 1.  A failure raises ValueError
+    ``{name} must {wording} {unit}, got {value!r}``."""
+    test, wording = _DOMAINS[domain]
+    if value.__class__ is not bool:
+        if not domain.startswith("whole"):
+            value = float(value)
+        if test(value):
+            return value
+    raise ValueError(f"{name} must {wording} {unit}".rstrip() + f", got {value!r}")
+
 
 def check_seconds(value: float, name: str = "time") -> float:
     """Validate an instant or duration: finite and >= 0 seconds."""
-    value = float(value)
-    if not math.isfinite(value) or value < 0.0:
-        raise ValueError(f"{name} must be finite and >= 0 seconds, got {value!r}")
-    return value
+    return check(value, name, ">= 0", "seconds")
 
 
 def check_rate(value: float, name: str = "rate") -> float:
@@ -43,10 +67,7 @@ def check_rate(value: float, name: str = "rate") -> float:
     Zero is rejected everywhere: a reduction factor is a ratio of rates and
     is undefined for a link that is actually down.
     """
-    value = float(value)
-    if not math.isfinite(value) or value <= 0.0:
-        raise ValueError(f"{name} must be finite and > 0 bit/s, got {value!r}")
-    return value
+    return check(value, name, "> 0", "bit/s")
 
 
 class SegmentMode(enum.Enum):
@@ -71,11 +92,14 @@ class Breakpoint:
     mode: SegmentMode = SegmentMode.HOLD
 
     def __init__(self, time: float, rate: float, mode: SegmentMode | str = SegmentMode.HOLD) -> None:
-        # only a value out of range calls the check, which then raises
-        time = float(time)
-        _set_time(self, time if 0.0 <= time < math.inf else check_seconds(time, "breakpoint time"))
-        rate = float(rate)
-        _set_rate(self, rate if 0.0 < rate < math.inf else check_rate(rate, "breakpoint rate"))
+        # the tests of check_seconds and check_rate inlined: only a value they
+        # refuse, a bool included, calls the check, which then raises
+        t = float(time)
+        _set_time(self, t if 0.0 <= t < math.inf and time.__class__ is not bool
+                  else check_seconds(time, "breakpoint time"))
+        r = float(rate)
+        _set_rate(self, r if 0.0 < r < math.inf and rate.__class__ is not bool
+                  else check_rate(rate, "breakpoint rate"))
         if mode.__class__ is not SegmentMode:
             try:
                 mode = _MODES[mode]
@@ -118,9 +142,7 @@ class CapacityTrace:
                 )
         if bps[-1].mode is not SegmentMode.HOLD:
             raise ValueError("last breakpoint must use mode 'hold' (nothing to interpolate toward)")
-        horizon = check_seconds(self.horizon, "horizon")
-        if horizon <= 0.0:
-            raise ValueError(f"horizon must be > 0 seconds, got {horizon!r}")
+        horizon = check(self.horizon, "horizon", "> 0", "seconds")
         if horizon < bps[-1].time:
             raise ValueError(
                 f"horizon {horizon!r} lies before the last breakpoint at {bps[-1].time!r}"

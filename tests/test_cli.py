@@ -8,17 +8,19 @@ import hashlib
 import io
 import json
 import math
+import re
 import time
 import tracemalloc
 from array import array
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccbound import __version__, cli
+from ccbound import __version__, cli, trace
 from ccbound.bounds import peak_delay_ramp, peak_delay_step
 from ccbound.cli import main
 from ccbound.packetsim import PacketSimResult
@@ -763,7 +765,7 @@ USAGE_ERRORS = {
     ),
     "one_mcs_walk_rate": (
         ["scenario", "--emit", "wifi-mcs-walk", "--scenario-param", "rates_mbps=100"],
-        "error: wifi-mcs-walk needs at least two rate levels\n",
+        "error: --scenario-param rates_mbps=100: wifi-mcs-walk needs at least two rate levels\n",
     ),
     "trace_and_scenario": (
         ["simulate", "--trace", "trace.csv", "--scenario", "wifi-step", "--controller", "fixed:1"],
@@ -829,7 +831,7 @@ USAGE_ERRORS = {
     ),
     "negative_initial_window_under_fixed": (
         ["simulate", "--scenario", "wifi-step", "--controller", "fixed:8", "--initial-window", "-3"],
-        "error: --initial-window must be >= 0 packets, got -3\n",
+        "error: --initial-window must be a whole number >= 0 packets, got -3\n",
     ),
     "negative_xb_delay_under_fixed": (
         ["simulate", "--scenario", "wifi-step", "--controller", "fixed:8", "--xb-ms", "-1"],
@@ -973,6 +975,34 @@ USAGE_ERRORS = {
         ["scenario", "--table", "wifi", "--scenario-param", "onset_ms=5"],
         "error: --scenario-param is a parameter of an --emit scenario; --table takes none\n",
     ),
+    # a value inside its domain as typed can leave it once scaled to SI
+    "pre_rate_overflows_in_si": (
+        ["bound", "--pre-rate", "1e308", "--post-rate", "1", "--delay-ms", "1"],
+        "error: --pre-rate 1e+308 Mbit/s in SI units must be finite and > 0, got inf\n",
+    ),
+    "sample_step_underflows_in_si": (
+        ["simulate", "--scenario", "wifi-step", "--controller", "fixed:8", "--sample-ms", "5e-324"],
+        "error: --sample-ms 5e-324 ms in SI units must be finite and > 0, got 0.0\n",
+    ),
+    "scenario_onset_underflows_in_si": (
+        ["scenario", "--emit", "wifi-step", "--scenario-param", "onset_ms=5e-324"],
+        "error: --scenario-param onset_ms 5e-324 ms in SI units must be finite and > 0, got 0.0\n",
+    ),
+    # a library check that joins scenario values is named by the pairs as typed
+    "scenario_onset_past_horizon": (
+        ["scenario", "--emit", "wifi-step", "--scenario-param", "onset_ms=6000"],
+        "error: --scenario-param onset_ms=6000: onset must lie strictly inside (0, horizon), "
+        "got onset=6.0, horizon=5.0\n",
+    ),
+    "scenario_post_rate_above_pre_rate": (
+        ["scenario", "--emit", "wifi-step", "--scenario-param", "post_mbps=200"],
+        "error: --scenario-param post_mbps=200: a step must be a reduction: post_rate < pre_rate "
+        "required, got 144400000.0 -> 200000000.0\n",
+    ),
+    "scenario_ramp_past_horizon": (
+        ["scenario", "--emit", "ramp-contention", "--scenario-param", "ramp_ms=9000"],
+        "error: --scenario-param ramp_ms=9000: ramp ends at 10.0, past the horizon 5.0\n",
+    ),
 }
 
 
@@ -1059,6 +1089,31 @@ class TestFlagTable:
         if not IN_DOMAIN[domain](value):
             assert code == 2, (argv, err)
             assert err.startswith(f"error: {flag} must ") and err.endswith(f", got {value!r}\n"), err
+
+
+# README names the two --horizon-ms rows by their command.
+README_NAMES = {"simulate --horizon-ms": "horizon_ms", "ingest --horizon-ms": "ingest_horizon_ms"}
+
+
+class TestReadmeFlagTable:
+    """README's flag table names every row of ``cli._FLAGS``, each with its
+    row's unit and a domain cell that starts with the wording of its row in
+    the library's domain table, less the verb."""
+
+    def test_table_matches_the_flag_rows(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        table = readme.partition("| input | unit | domain |\n|-------|------|--------|\n")[2]
+        by_name = {row[0]: key for key, row in cli._FLAGS.items() if row[0] != "--horizon-ms"}
+        named = []
+        for line in table.partition("\n\n")[0].splitlines():
+            inputs, unit, domain = (cell.strip() for cell in line.strip("|").split("|"))
+            for name in re.findall(r"`([^`]+)`", inputs):
+                flag = name if name.startswith("--") else f"--scenario-param {name}"
+                key = README_NAMES.get(name) or by_name[flag]
+                wording = trace._DOMAINS[cli._FLAGS[key][3]][1].partition(" ")[2]
+                assert (unit, domain[:len(wording)]) == (cli._FLAGS[key][1], wording), name
+                named.append(key)
+        assert sorted(named) == sorted(cli._FLAGS)
 
 
 class TestParser:

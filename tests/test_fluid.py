@@ -532,7 +532,7 @@ class TestRecoveryAndMultiEvent:
         with pytest.raises(ValueError) as info:
             SimConfig(trace, OracleFinal(0.017), horizon=0.0)
         assert type(info.value) is ValueError
-        assert str(info.value) == "horizon must be > 0, got 0.0"
+        assert str(info.value) == "horizon must be finite and > 0 seconds, got 0.0"
 
 
 class TestFifoDelay:

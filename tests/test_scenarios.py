@@ -80,9 +80,9 @@ class TestScenarioRegistry:
         "name, params, message",
         [
             ("wifi-mcs-walk", {"rates": (1e8,)}, "wifi-mcs-walk needs at least two rate levels"),
-            ("wifi-mcs-walk", {"dwell": 0.0}, "dwell must be > 0 seconds, got 0.0"),
+            ("wifi-mcs-walk", {"dwell": 0.0}, "dwell must be finite and > 0 seconds, got 0.0"),
             # the check is all that keeps pre_rate / 0 from raising ZeroDivisionError
-            ("ramp-contention", {"c_factor": 0.0}, "c_factor must be > 1 for a contention ramp, got 0.0"),
+            ("ramp-contention", {"c_factor": 0.0}, "c_factor must be finite and > 1, got 0.0"),
         ],
     )
     def test_out_of_range_parameter_rejected(self, name, params, message):

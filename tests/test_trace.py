@@ -13,16 +13,29 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ccbound.bounds import (
+    check_c_factor,
+    peak_delay_ramp,
+    peak_delay_step,
+    ramp_duration_for_target,
+    reduction_factor,
+    sweep,
+)
 from ccbound.cli import main
+from ccbound.fluid import FixedRate, OracleFinal, OracleTracking, SimConfig, sample_result, simulate_fluid
+from ccbound.packetsim import AimdParams, PacketSimConfig, compare_to_bound, simulate_packets
+from ccbound.scenarios import scenario_trace
 from ccbound.trace import (
     Breakpoint,
     CapacityEvent,
     CapacityTrace,
     SegmentMode,
     TraceParseError,
+    check_rate,
+    check_seconds,
     detect_events,
     make_ramp_trace,
     make_step_trace,
@@ -260,12 +273,12 @@ class TestConstruction:
 
 
 # What a breakpoint or an event accepts: each argument goes through float()
-# (a mode is a SegmentMode or its exact value string), and the fields are
+# (a bool is refused; a mode is a SegmentMode or its exact value string), and the fields are
 # checked in order, so the first bad one names the error.
 ACCEPTED = {
     "bp_ints": (Breakpoint, (0, 1), (0.0, 1.0, SegmentMode.HOLD)),
     "bp_strings": (Breakpoint, ("1.5", " 2e6 ", "linear"), (1.5, 2e6, SegmentMode.LINEAR)),
-    "bp_decimal": (Breakpoint, (Decimal("0.1"), True, SegmentMode.LINEAR), (0.1, 1.0, SegmentMode.LINEAR)),
+    "bp_decimal": (Breakpoint, (Decimal("0.1"), Fraction(1), SegmentMode.LINEAR), (0.1, 1.0, SegmentMode.LINEAR)),
     "bp_negative_zero": (Breakpoint, (-0.0, 1e8, "hold"), (-0.0, 1e8, SegmentMode.HOLD)),
     "ev_ints": (CapacityEvent, (1, 200, 100, 0), (1.0, 200.0, 100.0, 0.0)),
     "ev_strings": (CapacityEvent, ("0.5", "2e8", Fraction(1, 2), "1e-3"), (0.5, 2e8, 0.5, 1e-3)),
@@ -858,3 +871,143 @@ class TestCsv:
         parsed = trace_from_csv(once)
         assert trace_to_csv(parsed) == once
         assert parsed.horizon == trace.horizon
+
+
+# Each domain, restated here as the reference the library's checks are held
+# to: its test of a number, and its wording in a refusal.  A whole-number
+# domain takes an int only, and no domain takes a bool.
+REFERENCE_DOMAINS = {
+    "> 0": (lambda v: math.isfinite(v) and v > 0, "be finite and > 0"),
+    ">= 0": (lambda v: math.isfinite(v) and v >= 0, "be finite and >= 0"),
+    "> 1": (lambda v: math.isfinite(v) and v > 1, "be finite and > 1"),
+    ">= 1": (lambda v: math.isfinite(v) and v >= 1, "be finite and >= 1"),
+    "(0, 1)": (lambda v: 0 < v < 1, "lie in (0, 1)"),
+    "whole >= 0": (lambda v: v >= 0, "be a whole number >= 0"),
+    "whole": (lambda v: True, "be a whole number"),
+}
+
+TINY, HUGE = 5e-324, sys.float_info.max
+EXTREMES = (math.nan, math.inf, -math.inf, 0.0, -0.0, TINY, -TINY, 2.2250738585072014e-308,
+            1e-300, 1e308, -1e308, HUGE, 0.5, 1.0, 2.0, -3.0)
+# A trace at 1 bit/s whose horizon is one subnormal: any packet size in
+# its domain has a finite service time that moves the clock there, and
+# any sampling step makes at most two rows.
+UNIT_RATE = CapacityTrace((Breakpoint(0.0, 1.0),), TINY)
+UNIT_RESULT = simulate_fluid(SimConfig(UNIT_RATE, FixedRate(1.0)))
+LONG = CapacityTrace((Breakpoint(0.0, 1e8),), HUGE)
+PACKETS = simulate_packets(PacketSimConfig(make_step_trace(1e7, 1e6, 0.1, 0.3)))
+DROP = detect_events(PACKETS.config.trace)[0]
+
+# Every public numeric input: a call that passes the value to it, with
+# valid values elsewhere; the name, domain and unit its refusal states; and,
+# where a check that joins it with another value refuses some of its
+# domain, the part of the domain that check lets through.
+DOMAIN_CASES = {
+    "check_seconds": (lambda v: check_seconds(v, "x"), "x", ">= 0", "seconds", None),
+    "check_rate": (lambda v: check_rate(v, "x"), "x", "> 0", "bit/s", None),
+    "check_c_factor": (lambda v: check_c_factor(v, "x"), "x", ">= 1", "", None),
+    "breakpoint_time": (lambda v: Breakpoint(v, 1e8), "breakpoint time", ">= 0", "seconds", None),
+    "breakpoint_rate": (lambda v: Breakpoint(0.0, v), "breakpoint rate", "> 0", "bit/s", None),
+    "event_onset": (lambda v: CapacityEvent(v, 2e8, 1e8, 0.0), "event onset", ">= 0", "seconds", None),
+    "event_pre_rate": (lambda v: CapacityEvent(1.0, v, TINY, 0.0), "pre_rate", "> 0", "bit/s",
+                       lambda v: v > TINY),
+    "event_post_rate": (lambda v: CapacityEvent(1.0, HUGE, v, 0.0), "post_rate", "> 0", "bit/s",
+                        lambda v: v < HUGE),
+    "event_ramp": (lambda v: CapacityEvent(1.0, 2e8, 1e8, v), "ramp_duration", ">= 0", "seconds", None),
+    "trace_horizon": (lambda v: CapacityTrace((Breakpoint(0.0, 1e8),), v), "horizon", "> 0", "seconds", None),
+    "csv_horizon": (lambda v: trace_from_csv("0,1e8,hold\n", horizon=v), "horizon", ">= 0", "seconds",
+                    lambda v: v > 0),
+    "fixed_rate": (FixedRate, "rate", "> 0", "bit/s", None),
+    "oracle_final": (OracleFinal, "signal_delay", ">= 0", "seconds", None),
+    "oracle_tracking": (OracleTracking, "signal_delay", ">= 0", "seconds", None),
+    "sim_horizon": (lambda v: SimConfig(LONG, FixedRate(1e8), horizon=v), "horizon", "> 0", "seconds", None),
+    "sample_step": (lambda v: sample_result(UNIT_RESULT, v), "step", "> 0", "seconds", None),
+    "additive_increase": (lambda v: AimdParams(additive_increase=v), "additive_increase", "> 0",
+                          "packets per round trip", None),
+    "multiplicative_decrease": (lambda v: AimdParams(multiplicative_decrease=v),
+                                "multiplicative_decrease", "(0, 1)", "", None),
+    "packet_size": (lambda v: PacketSimConfig(UNIT_RATE, packet_size=v), "packet_size", "> 0", "bits", None),
+    "forward_delay": (lambda v: PacketSimConfig(UNIT_RATE, forward_delay=v), "forward_delay", ">= 0",
+                      "seconds", None),
+    "x_to_b_delay": (lambda v: PacketSimConfig(UNIT_RATE, x_to_b_delay=v), "x_to_b_delay", ">= 0",
+                     "seconds", None),
+    "reverse_delay": (lambda v: PacketSimConfig(UNIT_RATE, reverse_delay=v), "reverse_delay", ">= 0",
+                      "seconds", None),
+    "mark_threshold": (lambda v: PacketSimConfig(UNIT_RATE, mark_threshold=v), "mark_threshold", ">= 0",
+                       "seconds", None),
+    "initial_window": (lambda v: PacketSimConfig(UNIT_RATE, initial_window=v), "initial_window",
+                       "whole >= 0", "packets", None),
+    "seed": (lambda v: PacketSimConfig(UNIT_RATE, seed=v), "seed", "whole", "", None),
+    "compare_delay": (lambda v: compare_to_bound(PACKETS, DROP, v), "signal_delay", ">= 0", "seconds", None),
+    "reduction_pre": (lambda v: reduction_factor(v, 1.0), "pre_rate", "> 0", "bit/s", None),
+    "reduction_post": (lambda v: reduction_factor(1.0, v), "post_rate", "> 0", "bit/s", None),
+    "step_c": (lambda v: peak_delay_step(v, 1.0), "c_factor", ">= 1", "", None),
+    "step_delay": (lambda v: peak_delay_step(2.0, v), "signal_delay", ">= 0", "seconds", None),
+    "ramp_c": (lambda v: peak_delay_ramp(v, 1.0, 1.0), "c_factor", ">= 1", "", None),
+    "ramp_delay": (lambda v: peak_delay_ramp(2.0, v, 1.0), "signal_delay", ">= 0", "seconds", None),
+    "ramp_duration": (lambda v: peak_delay_ramp(2.0, 1.0, v), "ramp_duration", ">= 0", "seconds", None),
+    "target_c": (lambda v: ramp_duration_for_target(v, HUGE, 1.0), "c_factor", ">= 1", "",
+                 lambda v: v > 1),
+    "target_delay_d": (lambda v: ramp_duration_for_target(2.0, v, TINY), "signal_delay", ">= 0", "seconds",
+                       lambda v: v > 0),
+    "target_q": (lambda v: ramp_duration_for_target(HUGE, HUGE, v), "target_delay", "> 0", "seconds", None),
+    "sweep_c": (lambda v: sweep([v], d_values=[1.0]), "c_factor", ">= 1", "", None),
+    "sweep_delays": (lambda v: sweep([2.0], d_values=[v]), "signal_delay", ">= 0", "seconds", None),
+    "sweep_ramps": (lambda v: sweep([2.0], d_ramp_values=[v], signal_delay=1.0), "ramp_duration", ">= 0",
+                    "seconds", None),
+    "sweep_fixed_delay": (lambda v: sweep([2.0], d_ramp_values=[1.0], signal_delay=v), "signal_delay",
+                          ">= 0", "seconds", None),
+    "wifi_step_pre": (lambda v: scenario_trace("wifi-step", pre_rate=v, post_rate=TINY), "pre_rate", "> 0",
+                      "bit/s", lambda v: v > TINY),
+    "wifi_step_post": (lambda v: scenario_trace("wifi-step", pre_rate=HUGE, post_rate=v), "post_rate", "> 0",
+                       "bit/s", lambda v: v < HUGE),
+    "wifi_step_onset": (lambda v: scenario_trace("wifi-step", onset=v, horizon=HUGE), "onset", ">= 0",
+                        "seconds", lambda v: 0 < v < HUGE),
+    "wifi_step_horizon": (lambda v: scenario_trace("wifi-step", onset=TINY, horizon=v), "horizon", ">= 0",
+                          "seconds", lambda v: v > TINY),
+    "mcs_walk_rate": (lambda v: scenario_trace("wifi-mcs-walk", rates=(v, 1.0)), "breakpoint rate", "> 0",
+                      "bit/s", None),
+    "mcs_walk_dwell": (lambda v: scenario_trace("wifi-mcs-walk", dwell=v), "dwell", "> 0", "seconds",
+                       lambda v: math.isfinite(3 * v)),
+    "contention_pre": (lambda v: scenario_trace("ramp-contention", pre_rate=v), "pre_rate", "> 0", "bit/s",
+                       lambda v: v / 10 > 0),
+    "contention_c": (lambda v: scenario_trace("ramp-contention", c_factor=v), "c_factor", "> 1", "", None),
+    "contention_onset": (lambda v: scenario_trace("ramp-contention", onset=v, ramp_duration=0.0, horizon=HUGE),
+                         "onset", ">= 0", "seconds", lambda v: 0 < v < HUGE),
+    "contention_ramp": (lambda v: scenario_trace("ramp-contention", ramp_duration=v, horizon=HUGE),
+                        "ramp_duration", ">= 0", "seconds", None),
+    "contention_horizon": (lambda v: scenario_trace("ramp-contention", horizon=v), "horizon", ">= 0",
+                           "seconds", lambda v: v >= 1.5),
+}
+
+
+class TestDomainTable:
+    """Every public numeric input against values across the float range,
+    ints and bools: a value is accepted exactly when the reference domain
+    (and any check joining it with the other values) takes it, and a value
+    outside the domain raises ValueError ``{name} must {wording} {unit},
+    got {value!r}``, the value as the check read it."""
+
+    @pytest.mark.parametrize("case", DOMAIN_CASES.values(), ids=DOMAIN_CASES)
+    @settings(max_examples=3, deadline=None)
+    @given(value=st.sampled_from(EXTREMES) | st.floats() | st.integers(-2**70, 2**70))
+    @example(value=True)
+    @example(value=False)
+    def test_each_input_checks_its_domain(self, case, value):
+        call, name, domain, unit, joint = case
+        test, wording = REFERENCE_DOMAINS[domain]
+        whole = domain.startswith("whole")
+        if isinstance(value, bool) or (whole and not isinstance(value, int)):
+            read, inside = value, False
+        else:
+            read = value if whole else float(value)
+            inside = test(read)
+        if inside and (joint is None or joint(read)):
+            call(value)
+        elif not inside:
+            with pytest.raises(ValueError) as info:
+                call(value)
+            assert str(info.value) == f"{name} must {wording} {unit}".rstrip() + f", got {read!r}"
+        else:  # inside the domain, refused by a check that joins values
+            with pytest.raises(ValueError):
+                call(value)
