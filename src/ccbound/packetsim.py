@@ -6,19 +6,19 @@ whose queue sojourn exceeds a threshold and echoing the mark on the ACK.
 On a marked ACK the sender multiplies its window once per round trip;
 otherwise it grows by ``additive_increase`` packets per round trip.
 
-The loop runs two kinds of event in time order: arrivals at the
-bottleneck and ACKs back at the sender.  A FIFO server's departures follow
-from its arrivals by Lindley's recursion (D. V. Lindley, "The theory of
-queues with a single server", Proc. Cambridge Phil. Soc. 48(2), 1952), so
-each arrival is served at once: its service starts at its arrival or at
-the previous departure, whichever is later, and its ACK is queued for one
-return trip after its departure.  Every event source is a FIFO already in
-time order, so none needs a heap: the ACKs, the paced initial burst and
-the ACK-clocked send bursts.  Equal configs and seeds give bit-identical
-runs.  Service starts never go back in time, so a cursor that only moves
-forward finds the trace row that sets each packet's rate.  A row whose
-rate holds prices its packet service time once, when the cursor enters
-it; only a row whose rate changes reads the rate at each service start.
+The loop takes its two event sources, the paced initial burst and the
+ACKs back at the sender, in time order; both are FIFOs in time order, so
+none needs a heap.  A FIFO server's departures follow from its arrivals by
+Lindley's recursion (D. V. Lindley, "The theory of queues with a single
+server", Proc. Cambridge Phil. Soc. 48(2), 1952): a service starts at the
+later of its arrival and the previous departure, and its ACK is queued for
+one return trip after its departure.  Departures depend only on the order
+of the arrivals, and sends arrive in the order they are made, so a send is
+served when it is made.  Equal configs and seeds give bit-identical runs.
+Service starts never go back in time, so a cursor that only moves forward
+finds the trace row that sets each packet's rate.  A row whose rate holds
+prices its packet service time once, when the cursor enters it; only a
+row whose rate changes reads the rate at each service start.
 
 A run formats nothing while it runs.  It stores each fact once, in typed
 columns: the arrival time of each paced packet, the dequeue time and
@@ -163,9 +163,11 @@ class PacketSimResult:
 
 
 def _over_packet_cap(count: int) -> ValueError:
-    """The error for a run that would send ``count`` packets, over the cap."""
+    """The error for a run that would send ``count`` packets, over the cap;
+    a count past 15 digits, which a float may round, is written ``{:.6g}``."""
+    text = count if count < 10**15 else f"{count:.6g}"
     return ValueError(
-        f"the run would send {count} packets, over the cap of {MAX_PACKETS} "
+        f"the run would send {text} packets, over the cap of {MAX_PACKETS} "
         "(check the additive increase and the packet size)"
     )
 
@@ -177,12 +179,15 @@ def simulate_packets(config: PacketSimConfig) -> PacketSimResult:
     held for the whole packet.  The queue is FIFO, so each arrival is served
     as it comes, by Lindley's recursion: its service starts at the later of
     its arrival and the previous departure.  A packet that departs after the
-    horizon is not delivered, and no later packet is served.  Each step runs
-    the earlier of the oldest pending arrival and the oldest ACK in flight,
-    the arrival on a tie; of two arrivals at one instant, the paced initial
-    burst's comes first.  The server's state depends on the order of the
-    arrivals alone, and the sender's on that of the ACKs; the log orders
-    the events of different kinds at one instant when it is read.
+    horizon is not delivered, and no later packet is served.  The loop
+    takes one step per paced packet and one per ACK, whose send burst
+    arrives whole one forward delay on and is served in that step, after
+    each paced packet that arrives no later, a tie included: ACK times
+    never decrease, so no later send arrives first.  An arrival past the
+    horizon is not served, and the ACKs up to the horizon still run.  The
+    server's state depends on the order of the arrivals alone, and the
+    sender's on that of the ACKs; the log orders the events of different
+    kinds at one instant when it is read.
     A run whose queue never holds a waiting packet before the first
     capacity reduction is flagged ``congestion_reached=False``: the sender
     never actually pressed against the link, so bound comparisons are
@@ -203,13 +208,9 @@ def simulate_packets(config: PacketSimConfig) -> PacketSimResult:
     events = detect_events(trace)
     warm_end = events[0].onset if events else horizon
 
-    # The event sources, each in time order.  The paced burst's times
-    # increase; the sends are made at ACK times, which never decrease, and
-    # each send burst arrives whole one forward delay later, as (arrival
-    # time, first packet id, last id + 1).  The ACKs, (time, marked, packet
-    # id), return in departure order, and departures never go back in time.
+    # The event sources, each in time order: the paced burst, (arrival time,
+    # id, id + 1), and the ACKs, (time, marked, id), in departure order.
     paced: deque[tuple[float, int, int]] = deque()
-    sent: deque[tuple[float, int, int]] = deque()
     acks: deque[tuple[float, bool, int]] = deque()
     # the departure of the last packet served; once it passes the horizon,
     # nothing more is served
@@ -251,65 +252,64 @@ def simulate_packets(config: PacketSimConfig) -> PacketSimResult:
         next_pid = in_flight = k + 1
 
     while True:
-        arrivals = paced if paced and not (sent and sent[0][0] < paced[0][0]) else sent
-        t = arrivals[0][0] if arrivals else math.inf
-        if not (acks and acks[0][0] < t):
+        # a paced packet goes first if it arrives no later than the oldest ACK's sends
+        if paced and not (acks and acks[0][0] + fwd < paced[0][0]):
+            t, first, end = paced.popleft()
+        else:
+            if not acks:
+                break
+            t, marked, pid = acks.popleft()
             # not "t > horizon": a NaN time ends the run as well
             if not t <= horizon:
                 break
-            _, first, end = arrivals.popleft()
-            if not free <= horizon:
-                continue
-            for pid in range(first, end):
-                start = free if free > t else t
-                if next_starts[r] <= start:
-                    while next_starts[r] <= start:
-                        r += 1
-                    row = rows[r]
-                    held = pkt / row[2] if row[4] == row[2] else None
-                service = pkt / _rate_in(row, start) if held is None else held
-                # saturated means a packet waited at least one full packet
-                # behind others, not just the phase overlap of the initial burst
-                if start <= warm_end and start - t > service:
-                    congestion_seen = True
-                free = start + service
-                if not free <= horizon:
-                    break
-                sojourn = free - t
-                dequeue_times.append(free)
-                sojourns.append(sojourn)
-                acks.append((free + xb + rev, sojourn > threshold, pid))
-            continue
-        t, marked, pid = acks.popleft()
-        if not t <= horizon:
-            break
-        in_flight -= 1
-        if marked:
-            if pid >= recovery_end_pid:
-                cwnd = max(1.0, cwnd * md)
-                recovery_end_pid = next_pid
-                codes.append(_DECREASED)
+            in_flight -= 1
+            if marked:
+                if pid >= recovery_end_pid:
+                    cwnd = max(1.0, cwnd * md)
+                    recovery_end_pid = next_pid
+                    codes.append(_DECREASED)
+                else:
+                    codes.append(_ACKED_MARKED)
             else:
-                codes.append(_ACKED_MARKED)
-        else:
-            # cwnd >= 1 here: an ACK needs initial_window >= 1, and every
-            # decrease stops at 1
-            cwnd += ai / cwnd
-            codes.append(_ACKED)
-        windows.append(cwnd)
-        # cwnd sums ai / cwnd steps, each rounded: a window within 1e-9
-        # below a whole number of packets counts as that number
-        burst = int(cwnd + 1e-9) - in_flight
-        if burst > 0 and t < horizon:
-            total = next_pid + burst
-            if total > MAX_PACKETS:
-                raise _over_packet_cap(total)
-            sent.append((t + fwd, next_pid, total))
+                # cwnd >= 1 here: an ACK needs initial_window >= 1, and every
+                # decrease stops at 1
+                cwnd += ai / cwnd
+                codes.append(_ACKED)
+            windows.append(cwnd)
+            # cwnd sums ai / cwnd steps, each rounded: a window within 1e-9
+            # below a whole number of packets counts as that number
+            burst = int(cwnd + 1e-9) - in_flight
+            if not (burst > 0 and t < horizon):
+                sends.append(0)
+                continue
+            first, end = next_pid, next_pid + burst
+            if end > MAX_PACKETS:
+                raise _over_packet_cap(end)
             sends.append(burst)
-            next_pid = total
-            in_flight += burst
-        else:
-            sends.append(0)
+            next_pid, in_flight = end, in_flight + burst
+            t += fwd  # the burst arrives whole one forward delay on, served now
+        # no arrival past the horizon, or behind a departure past it, is served
+        if not (t <= horizon and free <= horizon):
+            continue
+        for pid in range(first, end):
+            start = free if free > t else t
+            if next_starts[r] <= start:
+                while next_starts[r] <= start:
+                    r += 1
+                row = rows[r]
+                held = pkt / row[2] if row[4] == row[2] else None
+            service = pkt / _rate_in(row, start) if held is None else held
+            # saturated means a packet waited at least one full packet
+            # behind others, not just the phase overlap of the initial burst
+            if start <= warm_end and start - t > service:
+                congestion_seen = True
+            free = start + service
+            if not free <= horizon:
+                break
+            sojourn = free - t
+            dequeue_times.append(free)
+            sojourns.append(sojourn)
+            acks.append((free + xb + rev, sojourn > threshold, pid))
 
     return PacketSimResult(
         config=config,

@@ -270,6 +270,13 @@ class CapacityTrace:
                 if target > total:
                     yield None
                     continue
+                # t lies in the last row and target is not past C(h), so bits
+                # pass the head area by less than target's rounding: target
+                # is C(h), drained at h.  The root below, taken from the
+                # row's start, could land before t
+                if i == n - 1:
+                    yield end - t
+                    continue
                 # the last breakpoint at or before the drain instant; a drain
                 # row at or before t's has high <= cum[i + 1] <= target, and a
                 # run of equal cum entries fails the strict test: both bisect

@@ -1003,6 +1003,13 @@ USAGE_ERRORS = {
         ["scenario", "--emit", "ramp-contention", "--scenario-param", "ramp_ms=9000"],
         "error: --scenario-param ramp_ms=9000: ramp ends at 10.0, past the horizon 5.0\n",
     ),
+    # a count past 15 digits is written as {:.6g}, not digit by digit
+    "packet_count_over_the_cap_in_short": (
+        ["simulate", "--scenario", "wifi-step", "--scenario-param", "horizon_ms=2000",
+         "--scenario-param", "onset_ms=1000", "--controller", "aimd", "--ai", "1e308"],
+        "error: the run would send 1e+307 packets, over the cap of 1000000 "
+        "(check the additive increase and the packet size)\n",
+    ),
 }
 
 

@@ -9,6 +9,7 @@ import json
 import math
 import pickle
 import random
+import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
@@ -1206,6 +1207,10 @@ class TestScaleCovariance:
     @example(config=REPRO_DROPPED_CELL, kt=0, kr=-66)
     @settings(max_examples=200, deadline=None)
     def test_fluid_outputs_scale_exactly(self, config, kt, kr):
+        # a subnormal horizon or sampling step, or a scaled copy of one,
+        # loses bits to the scaling, so the property does not hold there
+        h = config.horizon
+        assume(min(h, h / 7.0, math.ldexp(h, kt), math.ldexp(h / 7.0, kt)) >= sys.float_info.min)
         a = simulate_fluid(config)
         b = simulate_fluid(scaled_config(config, kt, kr))
         kb = kt + kr

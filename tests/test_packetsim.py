@@ -371,7 +371,7 @@ RAMP_END = PacketSimConfig(
                    Breakpoint(0.75, 2.0**17)), 1.0),
     packet_size=2.0**14, forward_delay=EDGE_FWD, initial_window=8, seed=EDGE_SEED)
 # Zero delays and no marks: packet 0's ACK, and the send it clocks, land
-# before packet 1 is paced out, so the two arrival FIFOs interleave.
+# before packet 1 is paced out, so sent and paced packets interleave.
 INTERLEAVED = PacketSimConfig(CONSTANT_2_16, packet_size=2.0**14, forward_delay=0.0,
                               x_to_b_delay=0.0, reverse_delay=0.0, mark_threshold=1.0,
                               initial_window=4, seed=EDGE_SEED)
@@ -415,6 +415,12 @@ PACED_AT_DEPARTURE = PacketSimConfig(
 # so the last two of the burst arrive past the 1 s horizon.
 PACED_PAST_HORIZON = PacketSimConfig(CONSTANT_2_16, packet_size=2.0**14, forward_delay=0.5,
                                      initial_window=4, seed=EDGE_SEED)
+# Packets served in 1/16 s from about 0.5 s on are ACKed at once, and the
+# sends of each ACK take 0.5 s to arrive: past the 1 s horizon, while the
+# later ACKs still run.
+SENT_PAST_HORIZON = PacketSimConfig(CONSTANT_2_16, packet_size=2.0**12, forward_delay=0.5,
+                                    x_to_b_delay=0.0, reverse_delay=0.0, initial_window=4,
+                                    seed=EDGE_SEED)
 
 
 def records_of(result, event):
@@ -465,6 +471,10 @@ EDGE_CASES = {
     PACED_AT_DEPARTURE: paced_at_departure,
     PACED_PAST_HORIZON: lambda result: any(
         t > result.config.trace.horizon for t in result._paced_times),
+    # an ACK that sends, and is not the last, whose sends arrive past the horizon
+    SENT_PAST_HORIZON: lambda result: any(
+        sent and ack.t + result.config.forward_delay > result.config.trace.horizon
+        for ack, sent in zip(records_of(result, "ack")[:-1], result._sends)),
 }
 
 
@@ -479,7 +489,7 @@ class TestTieOrder:
     @example(config=PacketSimConfig(CONSTANT_2_16, initial_window=0))
     @example(config=PacketSimConfig(CONSTANT_2_16, packet_size=2.0**14, forward_delay=0.875,
                                     initial_window=1))
-    # the row cursor and the two arrival FIFOs at their edges; see EDGE_CASES
+    # the row cursor, and paced and sent arrivals, at their edges; see EDGE_CASES
     @example(config=HOLD_JUMP)
     @example(config=RAMP_END)
     @example(config=INTERLEAVED)
@@ -497,6 +507,8 @@ class TestTieOrder:
                                     mark_threshold=0.0, initial_window=8, seed=0))
     # a paced packet sent before the horizon that arrives after it
     @example(config=PACED_PAST_HORIZON)
+    # a send made before the horizon that arrives after it, and ACKs after it
+    @example(config=SENT_PAST_HORIZON)
     def test_log_and_fields_equal_the_all_heap_loop(self, config):
         result = simulate_packets(config)
         expected = all_heap_reference(config)

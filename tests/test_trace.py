@@ -167,6 +167,8 @@ def bisected_drain(trace, t, bits):
         target = cum[i + 1] + (bits - head)
         if target > cum[-1]:
             return None
+        if i == len(times) - 1:  # target rounds onto C(h), drained at h
+            return end - t
         # the last row starting at or before the drain instant
         j = bisect_right(cum, target, 0, len(times)) - 1
         row, at, rest = rows[j], rows[j][0], target - cum[j]
@@ -526,26 +528,43 @@ class TestIntegrate:
         assert math.isclose(whole, split, rel_tol=1e-12, abs_tol=1e-6)
 
 
+@st.composite
+def walk_cases(draw):
+    """A trace, an interval [t0, t1] of it, and a drain query at t of share
+    times the bits left after t (of 1000 bits when none are)."""
+    trace = draw(traces())
+    h = trace.horizon
+    t0, t1 = sorted(draw(st.lists(st.floats(0.0, h), min_size=2, max_size=2)))
+    return trace, t0, t1, draw(st.floats(0.0, h)), draw(st.floats(0.0, 1.2))
+
+
+# Its last row lasts one ulp, so its area rounds away in C(h): a query at
+# the horizon for 1e-12 bits, below half an ulp of C(h), found a drain row
+# that starts before t.
+LAST_ROW_ROUNDED = CapacityTrace((Breakpoint(0.0, 1000.0, "linear"), Breakpoint(4.889554028757022, 1164.0),
+                                  Breakpoint(14.420466521675516, 1000.0)), 14.420466521675518)
+
+
 class TestCumulativeCurve:
     """The prefix table against the segment walks it replaced."""
 
-    @given(traces(), st.data())
+    @given(walk_cases())
+    @example((LAST_ROW_ROUNDED, 0.0, 0.0, LAST_ROW_ROUNDED.horizon, 1e-15))
     @settings(max_examples=200, deadline=None)
-    def test_matches_segment_walk(self, trace, data):
+    def test_matches_segment_walk(self, case):
+        trace, t0, t1, t, share = case
         h = trace.horizon
         # Differences of prefix sums round to a few ulps of C(h) whatever
         # the interval, and rounding an instant costs rate * ulp(h) bits;
         # the floor covers both with a wide margin.
         rates = [bp.rate for bp in trace.breakpoints]
         floor = 1e-13 * walk_integrate(trace, 0.0, h) + 4.0 * max(rates) * math.ulp(h)
-        t0, t1 = sorted(data.draw(st.lists(st.floats(0.0, h), min_size=2, max_size=2)))
         assert math.isclose(
             trace.integrate(t0, t1), walk_integrate(trace, t0, t1), rel_tol=1e-9, abs_tol=floor
         )
 
-        t = data.draw(st.floats(0.0, h))
         avail = walk_integrate(trace, t, h)
-        bits = data.draw(st.floats(0.0, 1.2)) * (avail or 1e3)
+        bits = share * (avail or 1e3)
         delta = trace.drain_time(t, bits)
         if abs(avail - bits) > max(1e-9 * bits, floor):
             assert (delta is None) == (avail < bits)
