@@ -20,12 +20,12 @@ finds the trace row that sets each packet's rate.  A row whose rate holds
 prices its packet service time once, when the cursor enters it; only a
 row whose rate changes reads the rate at each service start.
 
-A run formats nothing while it runs.  It stores each fact once, in typed
-columns: the arrival time of each paced packet, the dequeue time and
-sojourn of each delivered packet, and the window, mark code and send
-count of each ACK.  One reader replays the log from them on a (t, seq)
-heap; ``PacketSimResult.log``, :func:`event_log_to_csv` and the CLI's
-``--log-out``, which streams the CSV lines to its file, all read it.
+A run formats nothing while it runs.  It stores what the loop decides, in
+four typed columns: the arrival time of each paced packet, the dequeue
+time and sojourn of each delivered packet, and the mark code of each ACK.
+One reader replays each ACK's window and send count from its code with
+the loop's own float operations, and the log on a (t, seq) heap; the
+``log``, :func:`event_log_to_csv` and the CLI's ``--log-out`` read it.
 """
 
 from __future__ import annotations
@@ -137,15 +137,13 @@ class PacketSimResult:
     config: PacketSimConfig
     # One arrival time per paced packet, set by the seeded jitter (a sent
     # packet's follows from its ACK); one dequeue time and one sojourn per
-    # delivered packet; one window, one mark code and one count of the
-    # packets it sent per ACK.  Arrays are unhashable, so hash() skips
-    # them; it still agrees with ==, which compares them.
+    # delivered packet; one mark code per ACK, from which _acks replays its
+    # window and send count.  Arrays are unhashable, so hash() skips them;
+    # it still agrees with ==, which compares them.
     _paced_times: array = field(repr=False, hash=False)
     _dequeue_times: array = field(repr=False, hash=False)
     _sojourns: array = field(repr=False, hash=False)
-    _windows: array = field(repr=False, hash=False)
     _codes: bytearray = field(repr=False, hash=False)
-    _sends: array = field(repr=False, hash=False)
     peak_queue_delay: float
     congestion_reached: bool
     packets_sent: int
@@ -235,8 +233,7 @@ def simulate_packets(config: PacketSimConfig) -> PacketSimResult:
     held = pkt / row[2] if row[4] == row[2] else None
 
     paced_times = array("d")
-    dequeue_times, sojourns = array("d"), array("d")
-    windows, codes, sends = array("d"), bytearray(), array("q")
+    dequeue_times, sojourns, codes = array("d"), array("d"), bytearray()
 
     # Initial burst, paced at the initial link rate with seeded phase jitter
     # to break synchronization artifacts while staying deterministic.
@@ -262,6 +259,7 @@ def simulate_packets(config: PacketSimConfig) -> PacketSimResult:
             # not "t > horizon": a NaN time ends the run as well
             if not t <= horizon:
                 break
+            # _acks replays this branch from the codes: keep the two bit for bit
             in_flight -= 1
             if marked:
                 if pid >= recovery_end_pid:
@@ -275,17 +273,14 @@ def simulate_packets(config: PacketSimConfig) -> PacketSimResult:
                 # decrease stops at 1
                 cwnd += ai / cwnd
                 codes.append(_ACKED)
-            windows.append(cwnd)
             # cwnd sums ai / cwnd steps, each rounded: a window within 1e-9
             # below a whole number of packets counts as that number
             burst = int(cwnd + 1e-9) - in_flight
             if not (burst > 0 and t < horizon):
-                sends.append(0)
                 continue
             first, end = next_pid, next_pid + burst
             if end > MAX_PACKETS:
                 raise _over_packet_cap(end)
-            sends.append(burst)
             next_pid, in_flight = end, in_flight + burst
             t += fwd  # the burst arrives whole one forward delay on, served now
         # no arrival past the horizon, or behind a departure past it, is served
@@ -316,14 +311,31 @@ def simulate_packets(config: PacketSimConfig) -> PacketSimResult:
         _paced_times=paced_times,
         _dequeue_times=dequeue_times,
         _sojourns=sojourns,
-        _windows=windows,
         _codes=codes,
-        _sends=sends,
         peak_queue_delay=max(sojourns, default=0.0),
         congestion_reached=congestion_seen,
         packets_sent=next_pid,
         packets_delivered=len(sojourns),
     )
+
+
+def _acks(result: PacketSimResult) -> Iterator[tuple[int, float, int]]:
+    """Each ACK's mark code, window and send count, the last two replayed by
+    the ACK branch of :func:`simulate_packets` (``in_flight -= 1`` to
+    ``in_flight + burst``) in its float operations; the two must agree bit for bit."""
+    config, aimd = result.config, result.config.aimd
+    xb, rev, horizon = config.x_to_b_delay, config.reverse_delay, config.trace.horizon
+    cwnd, in_flight = float(config.initial_window), len(result._paced_times)
+    for departure, code in zip(result._dequeue_times, result._codes):
+        in_flight -= 1
+        if code == _ACKED:
+            cwnd += aimd.additive_increase / cwnd
+        elif code == _DECREASED:
+            cwnd = max(1.0, cwnd * aimd.multiplicative_decrease)
+        burst = int(cwnd + 1e-9) - in_flight
+        burst = burst if burst > 0 and departure + xb + rev < horizon else 0
+        in_flight += burst
+        yield code, cwnd, burst
 
 
 @dataclass(frozen=True)
@@ -394,18 +406,17 @@ def _records(result: PacketSimResult) -> Iterator[tuple[float, str, int, float, 
     enqueues are scheduled first.  An enqueue into an empty queue schedules
     its packet's departure; a dequeue its ACK, one return trip on, then the
     next departure if a packet waits; an ACK the enqueues of its sends, one
-    forward delay on.  The k-th dequeue and ACK read the k-th entries of
-    their columns; no departure follows the last one delivered.  A sent
-    packet arrives at ``(departure + x_to_b_delay + reverse_delay) +
-    forward_delay``: the loop's own float operations, as are the queue
-    bits' ``+= packet_size`` and ``-= packet_size``, so every record comes
-    out bit for bit.
+    forward delay on.  The k-th dequeue and ACK read the k-th dequeue time
+    and sojourn, and what :func:`_acks` replays; no departure follows the
+    last one delivered.  A sent packet arrives at ``(departure +
+    x_to_b_delay + reverse_delay) + forward_delay``: the loop's own float
+    operations, as are the queue bits' ``+= packet_size`` and ``-=
+    packet_size``, so every record comes out bit for bit.
     """
     config = result.config
     pkt, threshold, horizon = config.packet_size, config.mark_threshold, config.trace.horizon
     fwd, xb, rev = config.forward_delay, config.x_to_b_delay, config.reverse_delay
-    dequeue_times, sojourns = result._dequeue_times, result._sojourns
-    windows, codes, sends = result._windows, result._codes, result._sends
+    dequeue_times, sojourns, acks_of = result._dequeue_times, result._sojourns, _acks(result)
     delivered = len(dequeue_times)
     push, pop, tick = heapq.heappush, heapq.heappop, count().__next__
     # Events are (t, seq, kind, packet id).  Each FIFO below is scheduled in
@@ -417,7 +428,7 @@ def _records(result: PacketSimResult) -> Iterator[tuple[float, str, int, float, 
     heap = [paced[0]] if paced else []
     queue: deque[int] = deque()  # the ids of the queued packets, head first
     npaced = next_pid = len(paced)
-    bits, j, i = 0.0, 0, 0  # the queue bits; j dequeues and i ACKs have run
+    bits, j = 0.0, 0  # the queue bits; j dequeues have run
     while heap and heap[0][0] <= horizon:
         t, _, kind, pid = pop(heap)
         if kind != _DEQ:  # the next event of its FIFO takes its place
@@ -448,15 +459,14 @@ def _records(result: PacketSimResult) -> Iterator[tuple[float, str, int, float, 
             if queue and j < delivered:
                 push(heap, (dequeue_times[j], tick(), _DEQ, queue[0]))
         else:
-            cwnd, code = windows[i], codes[i]
+            code, cwnd, sends = next(acks_of)
             if code == _ACKED:
                 yield t, "ack", pid, bits, f"cwnd={cwnd:.3f}"
             else:
                 if code == _DECREASED:
                     yield t, "window", pid, bits, f"decrease cwnd={cwnd:.3f}"
                 yield t, "ack", pid, bits, f"marked cwnd={cwnd:.3f}"
-            end, arrival = next_pid + sends[i], t + fwd
-            i += 1
+            end, arrival = next_pid + sends, t + fwd
             for sent in range(next_pid, end):
                 entry = (arrival, tick(), _ENQ, sent)
                 if not arrivals:

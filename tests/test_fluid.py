@@ -37,7 +37,7 @@ from ccbound.fluid import (
     sender_rate_trace,
     simulate_fluid,
 )
-from ccbound.packetsim import AimdParams, PacketSimConfig, simulate_packets
+from ccbound.packetsim import AimdParams, PacketSimConfig, _acks, simulate_packets
 from ccbound.trace import (
     Breakpoint,
     CapacityTrace,
@@ -1252,6 +1252,8 @@ class TestScaleCovariance:
             scaled_trace(trace, kt, kr), aimd=AimdParams(1.5, 0.7), seed=seed,
             **{name: math.ldexp(v, ks[name]) for name, v in knobs.items()}))
         for name, k in (("_paced_times", kt), ("_dequeue_times", kt), ("_sojourns", kt),
-                        ("_windows", 0), ("_codes", 0), ("_sends", 0), ("peak_queue_delay", kt),
+                        ("_codes", 0), ("peak_queue_delay", kt),
                         ("congestion_reached", 0), ("packets_sent", 0), ("packets_delivered", 0)):
             assert_scaled(getattr(b, name), getattr(a, name), k)
+        # each ACK's code, replayed window and send count
+        assert_scaled(list(_acks(b)), list(_acks(a)), 0)

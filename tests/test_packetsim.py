@@ -9,6 +9,7 @@ import math
 import pickle
 import random
 import tracemalloc
+from array import array
 from collections import deque
 
 import pytest
@@ -75,13 +76,10 @@ class TestBasics:
     def test_a_window_short_of_a_packet_by_rounding_counts_it(self):
         # the first ACK adds 9.9999999995 / 10 to a window of 10: 5e-11 short
         # of 11, within the guard's 1e-9, so the ACK sends two packets
-        trace = CapacityTrace((Breakpoint(0.0, 1e8),), 0.5)
-        config = PacketSimConfig(trace, aimd=AimdParams(9.9999999995, 0.5), initial_window=10,
-                                 mark_threshold=1.0)
-        result = simulate_packets(config)
-        cwnd = result._windows[0]
+        result = simulate_packets(WINDOW_SHORT_BY_ROUNDING)
+        _, cwnd, sends = next(packetsim._acks(result))
         assert cwnd == 10.0 + 9.9999999995 / 10.0 and int(cwnd) == 10
-        assert result._sends[0] == 2
+        assert sends == 2
 
     def test_underloaded_run_flagged_no_congestion(self):
         # two packets on a fat constant link never wait behind each other
@@ -196,8 +194,8 @@ def all_heap_reference(config):
     so events at equal times run in the order they were scheduled.
 
     It keeps each log record whole, (t, kind, packet id, queue bits, value),
-    in a list, and returns the records with the per-dequeue series and the
-    scalar fields by name."""
+    in a list, and returns the records with the per-dequeue series, the
+    packets each ACK sent and the scalar fields by name."""
     trace, horizon, pkt = config.trace, config.trace.horizon, config.packet_size
     fwd, xb, rev = config.forward_delay, config.x_to_b_delay, config.reverse_delay
     rng = random.Random(config.seed)
@@ -207,7 +205,7 @@ def all_heap_reference(config):
     queue_bits, cwnd = 0.0, float(config.initial_window)
     in_flight = next_pid = recovery_end_pid = 0
     congestion_seen = False
-    records, dequeue_times, sojourns = [], [], []
+    records, dequeue_times, sojourns, bursts = [], [], [], []
     arrive, depart, ack, marked_ack = range(4)
     spacing = pkt / trace.capacity_at(0.0)
     for k in range(config.initial_window):
@@ -260,14 +258,27 @@ def all_heap_reference(config):
                     heapq.heappush(heap, (t + fwd, next(seq), arrive, new_pid))
                 next_pid += burst
                 in_flight += burst
+            bursts.append(burst if burst > 0 and t < horizon else 0)
     return {
         "records": records,
         "queue_delay_series": tuple(zip(dequeue_times, sojourns)),
+        "bursts": bursts,
         "peak_queue_delay": max(sojourns, default=0.0),
         "congestion_reached": congestion_seen,
         "packets_sent": next_pid,
         "packets_delivered": len(sojourns),
     }
+
+
+def assert_acks_replayed(result, expected):
+    """Each ACK's window and send count, as the log's reader replays them
+    from its code, equal the all-heap loop's: the window in ``float.hex`` to
+    its ack record's value, the count to the burst the loop sent."""
+    replayed = list(packetsim._acks(result))
+    windows = [value for _, kind, _, _, value in expected["records"]
+               if kind in ("ack", "marked ack")]
+    assert [cwnd.hex() for _, cwnd, _ in replayed] == [value.hex() for value in windows]
+    assert [sends for _, _, sends in replayed] == expected["bursts"]
 
 
 def reference_log(records):
@@ -455,6 +466,24 @@ def sent_at_other_ack(result):
                for e in records_of(result, "enqueue"))
 
 
+# A constant 10^8 bit/s for 0.5 s whose first ACK leaves a window of
+# 10 + 9.9999999995 / 10, 5e-11 short of 11 packets
+WINDOW_SHORT_BY_ROUNDING = PacketSimConfig(CapacityTrace((Breakpoint(0.0, 1e8),), 0.5),
+                                           aimd=AimdParams(9.9999999995, 0.5), initial_window=10,
+                                           mark_threshold=1.0)
+# Packet 0 departs at some d in [0.5, 1), and the x-to-b delay 1 - d is
+# exact, so its ACK returns at the 1 s horizon itself, with a window of 2
+# and nothing in flight; an ACK at the horizon sends nothing.
+_D0 = (paced_sends(2.0**12, 2.0**16, EDGE_SEED, 1)[0] + 0.5) + 2.0**-4
+ACK_AT_HORIZON = PacketSimConfig(CONSTANT_2_16, packet_size=2.0**12, forward_delay=0.5,
+                                 x_to_b_delay=1.0 - _D0, reverse_delay=0.0, mark_threshold=1.0,
+                                 initial_window=1, seed=EDGE_SEED)
+# The same packet's ACK at (d + x_to_b_delay) + reverse_delay, one ulp short
+# of the horizon, sends; d + (x_to_b_delay + reverse_delay) would be 1.0.
+ACK_ULP_BEFORE_HORIZON = dataclasses.replace(ACK_AT_HORIZON, x_to_b_delay=0.40823033420998167,
+                                             reverse_delay=0.025070783161505735)
+
+
 # The edge each of these examples exists for, checked on its result
 EDGE_CASES = {
     HOLD_JUMP: lambda result: HOLD_JUMP_AT in service_starts(result),
@@ -474,7 +503,13 @@ EDGE_CASES = {
     # an ACK that sends, and is not the last, whose sends arrive past the horizon
     SENT_PAST_HORIZON: lambda result: any(
         sent and ack.t + result.config.forward_delay > result.config.trace.horizon
-        for ack, sent in zip(records_of(result, "ack")[:-1], result._sends)),
+        for ack, (_, _, sent) in zip(records_of(result, "ack")[:-1], packetsim._acks(result))),
+    WINDOW_SHORT_BY_ROUNDING: lambda result: any(
+        int(cwnd) < int(cwnd + 1e-9) for _, cwnd, _ in packetsim._acks(result)),
+    ACK_AT_HORIZON: lambda result: [e.t for e in records_of(result, "ack")] == [1.0]
+    and result.packets_sent == 1,
+    ACK_ULP_BEFORE_HORIZON: lambda result: [e.t for e in records_of(result, "ack")] == [
+        1.0 - 2.0**-53] and result.packets_sent == 3,
 }
 
 
@@ -509,6 +544,11 @@ class TestTieOrder:
     @example(config=PACED_PAST_HORIZON)
     # a send made before the horizon that arrives after it, and ACKs after it
     @example(config=SENT_PAST_HORIZON)
+    # the window's rounding guard, and an ACK at the horizon, which may not
+    # send, and one ulp before it, which may
+    @example(config=WINDOW_SHORT_BY_ROUNDING)
+    @example(config=ACK_AT_HORIZON)
+    @example(config=ACK_ULP_BEFORE_HORIZON)
     def test_log_and_fields_equal_the_all_heap_loop(self, config):
         result = simulate_packets(config)
         expected = all_heap_reference(config)
@@ -519,7 +559,12 @@ class TestTieOrder:
         for name in ("queue_delay_series", "peak_queue_delay", "congestion_reached",
                      "packets_sent", "packets_delivered"):
             assert getattr(result, name) == expected[name], name
+        assert_acks_replayed(result, expected)
 
+    @given(config=tied_aimd_configs(sizes=NON_DYADIC_SIZES))
+    @settings(max_examples=100, deadline=None)
+    def test_replayed_acks_equal_the_all_heap_loop_when_sums_round(self, config):
+        assert_acks_replayed(simulate_packets(config), all_heap_reference(config))
 
 
 class TestQueueBitsReplay:
@@ -768,7 +813,8 @@ class TestResultStorage:
         # per record about 139, a time and a code per event with the other
         # columns about 63, and the columns of arrivals, dequeues and ACKs
         # about 52; with a time per paced packet in place of the arrival
-        # columns, the dequeue and ACK columns cost about 35
+        # columns, the dequeue and ACK columns cost about 35, and with a code
+        # per ACK in place of its window, code and send count, about 19
         config = PacketSimConfig(make_step_trace(1e8, 2e7, 3.0, 6.0))
         tracemalloc.start()
         try:
@@ -777,7 +823,19 @@ class TestResultStorage:
         finally:
             tracemalloc.stop()
         assert result.packets_sent == 25_661
-        assert peak / result.packets_sent <= 40, peak / result.packets_sent
+        assert peak / result.packets_sent <= 24, peak / result.packets_sent
+
+    def test_columns_hold_8_bytes_per_paced_packet_16_per_delivery_1_per_ack(self):
+        # every column a result holds, counted by its buffer: a column added
+        # per ACK or per packet breaks the sum
+        config = saturated_step_config(12e6, 5.0, 0.02, seed=3)
+        result = simulate_packets(config)
+        columns = [value for value in (getattr(result, f.name) for f in dataclasses.fields(result))
+                   if isinstance(value, (array, bytearray))]
+        acks = len(records_of(result, "ack"))
+        assert acks > 0 and result.packets_delivered > acks
+        assert sum(memoryview(c).nbytes for c in columns) == (
+            8 * config.initial_window + 16 * result.packets_delivered + acks)
 
     def test_result_compares_hashes_pickles_and_replaces(self):
         config = saturated_step_config(12e6, 5.0, 0.02, seed=3)
