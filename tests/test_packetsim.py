@@ -561,16 +561,12 @@ class TestTieOrder:
             assert getattr(result, name) == expected[name], name
         assert_acks_replayed(result, expected)
 
-    @given(config=tied_aimd_configs(sizes=NON_DYADIC_SIZES))
-    @settings(max_examples=100, deadline=None)
-    def test_replayed_acks_equal_the_all_heap_loop_when_sums_round(self, config):
-        assert_acks_replayed(simulate_packets(config), all_heap_reference(config))
-
 
 class TestQueueBitsReplay:
     """The log's queue bits are the loop's running sum, not a product: with
     a packet size whose sums round, each record's bits equal the all-heap
-    loop's ``+=``/``-=`` count to the last bit."""
+    loop's ``+=``/``-=`` count to the last bit, and each ACK's replayed
+    window and send count equal its own."""
 
     @given(config=tied_aimd_configs(sizes=NON_DYADIC_SIZES))
     @settings(max_examples=150, deadline=None)
@@ -583,6 +579,7 @@ class TestQueueBitsReplay:
 
         assert exact(result.log) == exact(reference_log(expected["records"]))
         assert event_log_to_csv(result) == reference_csv(expected["records"])
+        assert_acks_replayed(result, expected)
 
 
 class TestQueryCount:
